@@ -1,16 +1,14 @@
-// Re-merge cost of the query-path merge engine as the shard count grows:
-// MergePolicy::kTree (the default binary merge tree) vs MergePolicy::kLinear
-// (the serial prefix chain it replaced) on the steady-state workload the
-// engine exists for — queries interleaved with churn confined to one shard.
+// Re-merge cost of the query-path merge engine (the binary merge tree of
+// src/driver/merge_cache.h) as the shard count grows, on the steady-state
+// workload the engine exists for — queries interleaved with churn confined
+// to one shard.
 //
 // Each iteration flips the hot slot between two pre-built snapshot variants
 // (no sketch building inside the timed loop), bumps its epoch, and merges:
-// the tree re-merges only the log2(S) root path, the chain re-folds every
-// slot at or after the changed one — slot 0 here, the chain's worst case
-// and any real workload's common case (shard order does not track churn).
-// items_per_second = queries/s; the merges_per_query counter reports
-// MergeFrom calls per query (tree: log2(S); linear: S), which is the
-// scaling claim in a form immune to machine noise.
+// the tree re-merges only the log2(S) root path, where a serial re-fold of
+// the table would pay S merges. items_per_second = queries/s; the
+// merges_per_query counter reports MergeFrom calls per query (log2(S)),
+// which is the scaling claim in a form immune to machine noise.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -42,7 +40,7 @@ std::shared_ptr<const CorrelatedF2Sketch> MakeSnapshot(
   return std::make_shared<const CorrelatedF2Sketch>(std::move(sketch));
 }
 
-void RunChurnRemerge(benchmark::State& state, MergePolicy policy) {
+void BM_TreeChurnRemerge(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   const auto opts = F2Opts();
   // One factory (seed-fixed hash families) keeps every snapshot mergeable.
@@ -61,14 +59,14 @@ void RunChurnRemerge(benchmark::State& state, MergePolicy policy) {
   MergeCache<CorrelatedF2Sketch> cache(
       [opts, factory] { return CorrelatedF2Sketch(opts, factory); });
   // Prime: the one-off full build is not the steady state being measured.
-  benchmark::DoNotOptimize(cache.Merge(snaps, epochs, policy));
+  benchmark::DoNotOptimize(cache.Merge(snaps, epochs));
 
   const uint64_t merges_before = cache.merges_performed();
   bool flip = false;
   for (auto _ : state) {
     snaps[0] = (flip = !flip) ? variant_b : variant_a;
     ++epochs[0];
-    auto r = cache.Merge(snaps, epochs, policy);
+    auto r = cache.Merge(snaps, epochs);
     benchmark::DoNotOptimize(r);
   }
   state.counters["merges_per_query"] =
@@ -79,15 +77,7 @@ void RunChurnRemerge(benchmark::State& state, MergePolicy policy) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_TreeChurnRemerge(benchmark::State& state) {
-  RunChurnRemerge(state, MergePolicy::kTree);
-}
 BENCHMARK(BM_TreeChurnRemerge)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_LinearChurnRemerge(benchmark::State& state) {
-  RunChurnRemerge(state, MergePolicy::kLinear);
-}
-BENCHMARK(BM_LinearChurnRemerge)->Arg(8)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -11,7 +11,7 @@
 # plus bench_serialize (wire-format encode/decode bytes-per-second) plus
 # bench_snapshot_query (query serving rates, blocking vs snapshot) plus
 # bench_zipf_ingest (trace-shaped columnar/coalesced ingest) plus
-# bench_merge_scaling (tree vs linear re-merge cost under single-shard
+# bench_merge_scaling (merge-tree re-merge cost under single-shard
 # churn) plus bench_chh_shootout (the three correlated heavy-hitters kinds
 # on shared workloads: throughput, serialized bytes, precision/recall; the
 # extras are skipped with a note if the binary is missing) and

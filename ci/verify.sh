@@ -113,6 +113,20 @@ if ! grep -q '"\$BIN" kinds' ci/shardctl_demo.sh; then
   exit 1
 fi
 
+# Compile (never run) the repo benchmark harness in Release: perfbench/
+# drives the library only through its public API, so a public-API change
+# that would break `python3 perfbench/run.py` fails here instead.
+if [ "$BUILD_TYPE" = "Release" ] && [ -z "$SANITIZE" ]; then
+  PERFBENCH_ARGS=(-S perfbench -B "$BUILD_DIR/perfbench"
+                  -DCMAKE_BUILD_TYPE=Release)
+  if [ -n "${GENERATOR:-}" ]; then
+    PERFBENCH_ARGS+=(-G "$GENERATOR")
+  fi
+  cmake "${PERFBENCH_ARGS[@]}"
+  cmake --build "$BUILD_DIR/perfbench" --target castream_perfbench \
+    -j"$(nproc)"
+fi
+
 cd "$BUILD_DIR"
 
 # --no-tests=error everywhere: a label that silently matches nothing (a

@@ -104,10 +104,10 @@ int main() {
   // stay empty until delivery reaches that window.
   for (int probe = 0; probe < 3; ++probe) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    auto r = sharded.SnapshotQuerySince(0);
+    auto r = sharded.QuerySince(0, {.mode = QueryMode::kSnapshot});
     std::printf("mid-ingest snapshot F2(all readings) ~ %-12.0f "
                 "(tuples ingested so far: %llu)\n",
-                r.ok() ? r.value() : -1.0,
+                r.ok() ? r.value().estimate : -1.0,
                 static_cast<unsigned long long>(
                     sharded.driver().tuples_processed()));
   }
@@ -118,11 +118,12 @@ int main() {
               "snapshot F2");
   for (uint64_t w : {kHorizon / 16, kHorizon / 4, kHorizon / 2}) {
     auto blocking = sharded.QueryWindow(kHorizon, w);
-    auto snapshot = sharded.SnapshotQueryWindow(kHorizon, w);
+    auto snapshot =
+        sharded.QueryWindow(kHorizon, w, {.mode = QueryMode::kSnapshot});
     std::printf("%-24llu %-18.0f %-18.0f\n",
                 static_cast<unsigned long long>(w),
-                blocking.ok() ? blocking.value() : -1.0,
-                snapshot.ok() ? snapshot.value() : -1.0);
+                blocking.ok() ? blocking.value().estimate : -1.0,
+                snapshot.ok() ? snapshot.value().estimate : -1.0);
   }
   std::printf("post-flush blocking and snapshot answers are identical; "
               "shard epochs:");

@@ -17,7 +17,7 @@
 // The demo stream is deterministic from --stream-seed, and the reducer
 // folds its (worker, shard) table, in key order, through the
 // deterministic MergeCache engine, so `oracle` — the same split, serial
-// ingest, and the same engine-and-policy fold done in one process with no
+// ingest, and the same merge-tree fold done in one process with no
 // wire — must print the *identical* cutoff ladder (bit-for-bit, %.17g)
 // once every worker's final snapshots have landed. ci/served_demo.sh
 // drives exactly that, plus the failure drills: killed and restarted
@@ -482,7 +482,7 @@ int RunQuery(const Args& args) {
 // inserts exactly and the MergeCache fold is deterministic, so any
 // textual deviation from `query` (after final publishes) is a service
 // bug. Two details make the replay exact: the fold goes through
-// MergeCache under the reducer's default tree policy (tree shape affects
+// MergeCache, the reducer's merge tree (tree shape affects
 // bucket-closing timing, so a plain serial fold would not be
 // bit-identical), and slots that received zero tuples are excluded — a
 // worker never publishes an epoch-0 shard, so such slots have no table
@@ -534,7 +534,7 @@ int RunOracle(const Args& args) {
   std::shared_ptr<const AnySummary> merged_root;
   if (args.topology.empty()) {
     // Fold the published (nonempty) slots, in (worker, shard) key order,
-    // through the reducer's engine and policy.
+    // through the reducer's engine.
     std::vector<std::shared_ptr<const AnySummary>> snaps;
     std::vector<uint64_t> seqs;
     for (size_t i = 0; i < slots; ++i) {
@@ -553,9 +553,9 @@ int RunOracle(const Args& args) {
   } else {
     // Tier-grouped fold: replay the reducer tree node by node. Each relay
     // folds its children's slots, in (worker, shard) key order, through a
-    // fresh MergeCache under the same default policy, and hands its root
-    // upstream *through serialization* — exactly the wire path — so the
-    // final ladder is the bit-for-bit target for a query at the tree root.
+    // fresh MergeCache, and hands its root upstream *through
+    // serialization* — exactly the wire path — so the final ladder is the
+    // bit-for-bit target for a query at the tree root.
     auto parsed = service::TopologyConfig::Parse(args.topology);
     if (!parsed.ok()) {
       std::fprintf(stderr, "oracle: %s\n",

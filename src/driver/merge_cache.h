@@ -6,40 +6,24 @@
 // snapshots change. The paper's summaries are mergeable by construction,
 // and merge *order* is an implementation detail (any order yields a valid
 // summary of the union stream with the same (eps, delta) guarantees), so
-// the engine offers two evaluation shapes behind one memo interface:
+// the engine folds the snapshots as a binary merge tree. Leaves are the
+// snapshots; each internal node memoizes the merge of its two children,
+// keyed by the epochs of the leaves below it. When one snapshot changes,
+// only the nodes on its root path are recomputed — O(log S) MergeFrom
+// calls instead of the O(S) a serial re-fold costs. A subtree with only
+// one live child is aliased (no copy, no merge), so sparse tables stay
+// cheap, and a repeated query over unchanged snapshots costs zero merges.
 //
-//   * MergePolicy::kTree (the default): a binary merge tree. Leaves are
-//     the snapshots; each internal node memoizes the merge of its two
-//     children, keyed by the epochs of the leaves below it. When one
-//     snapshot changes, only the nodes on its root path are recomputed —
-//     O(log S) MergeFrom calls — instead of the O(S) a linear re-merge
-//     from the changed slot costs. A subtree with only one live child is
-//     aliased (no copy, no merge), so sparse tables stay cheap, and a
-//     repeated query over unchanged snapshots still costs zero merges.
+// The fold is deterministic: the same snapshot vector always yields the
+// same answer bit-for-bit, whatever churn history the memo went through.
+// It is answer-equivalent, not bit-identical, to a serial slot-order fold
+// (bucket-closing and eviction timing inside a merge depend on merge
+// order). The test suite pins that contract with TrialsWithin against
+// exact oracles, using the serial fold of tests/test_util.h as the
+// reference.
 //
-//   * MergePolicy::kLinear: the historical prefix chain,
-//     prefix[k] = empty merged with snapshots 0..k-1 in slot order,
-//     rebuilt from the *first* stale slot. Answers are bit-for-bit
-//     identical to merging the snapshots serially — which is why this
-//     path is kept: it is the oracle the equivalence tests replay
-//     (tests/sharded_equivalence_test.cc), and the shape to pick when
-//     bit-reproducibility against a serial fold matters more than query
-//     latency.
-//
-// Both policies are deterministic: the same snapshot vector always yields
-// the same answer bit-for-bit *within* a policy. Across policies answers
-// are answer-equivalent — the same estimates up to the summaries'
-// (eps, delta) guarantees — but not bit-identical, because bucket-closing
-// and eviction timing inside a merge depends on merge order. The
-// driver/reducer query contract is therefore "answer-equivalent to the
-// linear serial merge", pinned by tests/merge_policy_test.cc (TrialsWithin
-// vs exact oracles) with kLinear as the test oracle.
-//
-// Memory trade (deliberate): kLinear pins up to S cached prefix copies;
-// kTree pins up to S-1 internal-node copies (aliased nodes are free).
-// Both sit on top of the S snapshots themselves. Callers that cannot
-// afford it call Invalidate() between query bursts. One MergeCache holds
-// both memos, but only the policies actually used materialize state.
+// Memory trade (deliberate): the tree pins up to S-1 internal-node copies
+// (aliased nodes are free) on top of the S snapshots themselves.
 #ifndef CASTREAM_DRIVER_MERGE_CACHE_H_
 #define CASTREAM_DRIVER_MERGE_CACHE_H_
 
@@ -58,18 +42,6 @@
 
 namespace castream {
 
-/// \brief How a MergeCache folds its snapshots into one summary.
-enum class MergePolicy : uint8_t {
-  /// Binary merge tree: O(log S) MergeFrom calls per changed snapshot.
-  /// The default everywhere; answers are deterministic but not bit-equal
-  /// to the serial fold.
-  kTree,
-  /// Linear prefix chain in slot order: O(S) MergeFrom calls from the
-  /// first changed slot, bit-for-bit equal to merging the snapshots
-  /// serially. The test oracle; default-off.
-  kLinear,
-};
-
 /// \brief Deep copy of a summary: the copy constructor where available,
 /// otherwise the explicit Clone() (AnySummary's move-only spelling).
 template <typename Summary>
@@ -84,102 +56,37 @@ Summary SummaryDeepCopy(const Summary& s) {
 template <typename Summary>
 class MergeCache {
  public:
-  /// \brief `make_empty` produces the zero-stream summary merge chains
-  /// start from (and the answer when every slot is empty); it must be
-  /// mergeable with every snapshot handed to Merge (same options and
-  /// hash-family seed).
+  /// \brief `make_empty` produces the zero-stream summary, the answer when
+  /// every slot is empty; it must be configured like the snapshots handed
+  /// to Merge (same options and hash-family seed).
   explicit MergeCache(std::function<Summary()> make_empty)
       : make_empty_(std::move(make_empty)) {}
 
   MergeCache(const MergeCache&) = delete;
   MergeCache& operator=(const MergeCache&) = delete;
 
-  /// \brief Merges snapshots 0..n-1 under the given policy. snaps[i] ==
-  /// nullptr means "slot never published" and contributes nothing (the
-  /// subtree or prefix is aliased past it). `epochs[i]` is slot i's
+  /// \brief Merges snapshots 0..n-1. snaps[i] == nullptr means "slot
+  /// never published" and contributes nothing. `epochs[i]` is slot i's
   /// publication epoch: equal epochs must imply equal snapshot contents,
   /// which is what makes the memo sound. A changed slot count (the
-  /// reducer's table grows as workers register) drops the affected memo
-  /// and rebuilds.
+  /// reducer's table grows as workers register) drops the memo and
+  /// rebuilds.
+  ///
+  /// Implicit heap layout over a power-of-two leaf row: node n's children
+  /// are 2n and 2n+1, leaves for slots 0..S-1 sit at leaf_base_ + s, slots
+  /// past S (and never-published slots) are null. A stale leaf dirties
+  /// exactly its root path; dirty nodes are recomputed children-first
+  /// (descending index order), each costing at most one MergeFrom — zero
+  /// when a child is null (the node aliases the live child's pointer).
   Result<std::shared_ptr<const Summary>> Merge(
       const std::vector<std::shared_ptr<const Summary>>& snaps,
-      const std::vector<uint64_t>& epochs,
-      MergePolicy policy = MergePolicy::kTree) {
+      const std::vector<uint64_t>& epochs) {
     // Concurrent callers serialize here; one that gathered its epochs just
     // before a publish may rebuild the memo from a snapshot one epoch
     // older than a racing caller merged. That only thrashes the cache (the
     // next call re-merges) — every consistent snapshot vector is a valid
     // whole-stream answer.
     std::lock_guard<std::mutex> lock(mu_);
-    if (policy == MergePolicy::kLinear) {
-      return MergeLinearLocked(snaps, epochs);
-    }
-    return MergeTreeLocked(snaps, epochs);
-  }
-
-  /// \brief Drops both memos; the next Merge rebuilds from scratch. Never
-  /// needed for correctness.
-  void Invalidate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    prefix_.clear();
-    prefix_epochs_.clear();
-    DropTreeLocked();
-  }
-
-  /// \brief Cumulative MergeFrom calls performed across both policies —
-  /// the "how incremental was it really" observable the regression tests
-  /// assert on.
-  uint64_t merges_performed() const {
-    return merges_.load(std::memory_order_relaxed);
-  }
-
- private:
-  /// \brief The historical linear prefix chain: prefix_[k] = empty merged
-  /// with slots 0..k-1 in order, rebuilt from the first slot whose epoch
-  /// moved. Bit-for-bit the serial merge.
-  Result<std::shared_ptr<const Summary>> MergeLinearLocked(
-      const std::vector<std::shared_ptr<const Summary>>& snaps,
-      const std::vector<uint64_t>& epochs) {
-    const size_t count = snaps.size();
-    if (prefix_.size() != count + 1) {
-      // First use, post-Invalidate, or the slot set changed size: every
-      // cached prefix is meaningless. The all-ones epoch sentinel can
-      // never equal a real epoch, so every slot reads as stale.
-      prefix_.assign(count + 1, nullptr);
-      prefix_epochs_.assign(count, kNeverMerged);
-      prefix_[0] = EmptyLocked();
-    }
-    size_t first_stale = count;
-    for (size_t s = 0; s < count; ++s) {
-      if (prefix_epochs_[s] != epochs[s]) {
-        first_stale = s;
-        break;
-      }
-    }
-    for (size_t s = first_stale; s < count; ++s) {
-      if (snaps[s] == nullptr) {
-        prefix_[s + 1] = prefix_[s];
-      } else {
-        auto next = std::make_shared<Summary>(SummaryDeepCopy(*prefix_[s]));
-        CASTREAM_RETURN_NOT_OK(next->MergeFrom(*snaps[s]));
-        merges_.fetch_add(1, std::memory_order_relaxed);
-        prefix_[s + 1] = std::move(next);
-      }
-      prefix_epochs_[s] = epochs[s];
-    }
-    return prefix_[count];
-  }
-
-  /// \brief The binary merge tree. Implicit heap layout over a power-of-two
-  /// leaf row: node n's children are 2n and 2n+1, leaves for slots 0..S-1
-  /// sit at leaf_base_ + s, slots past S (and never-published slots) are
-  /// null and contribute nothing. A stale leaf dirties exactly its root
-  /// path; dirty nodes are recomputed children-first (descending index
-  /// order), each costing at most one MergeFrom — zero when a child is
-  /// null (the node aliases the live child's pointer).
-  Result<std::shared_ptr<const Summary>> MergeTreeLocked(
-      const std::vector<std::shared_ptr<const Summary>>& snaps,
-      const std::vector<uint64_t>& epochs) {
     const size_t count = snaps.size();
     if (count == 0) return EmptyLocked();
     if (leaf_count_ != count) {
@@ -217,8 +124,9 @@ class MergeCache {
           if (Status st = merged->MergeFrom(*right); !st.ok()) {
             // The leaf epochs above were already advanced; leaving them
             // while their ancestors are stale would poison every later
-            // call. Drop the whole tree memo so the next Merge rebuilds.
-            DropTreeLocked();
+            // call. Drop the whole memo so the next Merge rebuilds.
+            nodes_.clear();
+            leaf_count_ = 0;
             return st;
           }
           merges_.fetch_add(1, std::memory_order_relaxed);
@@ -230,15 +138,15 @@ class MergeCache {
     return nodes_[1];
   }
 
-  void DropTreeLocked() {
-    nodes_.clear();
-    leaf_epochs_.clear();
-    leaf_base_ = 0;
-    leaf_count_ = 0;
+  /// \brief Cumulative MergeFrom calls performed — the "how incremental
+  /// was it really" observable the regression tests assert on.
+  uint64_t merges_performed() const {
+    return merges_.load(std::memory_order_relaxed);
   }
 
+ private:
   /// \brief The shared zero-stream summary (lazily built, immutable): the
-  /// answer when no slot ever published, and the linear chain's prefix[0].
+  /// answer when no slot ever published.
   std::shared_ptr<const Summary> EmptyLocked() {
     if (empty_ == nullptr) {
       empty_ = std::make_shared<const Summary>(make_empty_());
@@ -252,12 +160,7 @@ class MergeCache {
   std::mutex mu_;
   std::shared_ptr<const Summary> empty_;
 
-  // Linear memo: prefix_[k] = empty merged with slots 0..k-1;
-  // prefix_epochs_[s] is the epoch prefix_[s+1] was built from.
-  std::vector<std::shared_ptr<const Summary>> prefix_;
-  std::vector<uint64_t> prefix_epochs_;
-
-  // Tree memo: implicit heap of 2 * leaf_base_ nodes (index 0 unused,
+  // The memo: implicit heap of 2 * leaf_base_ nodes (index 0 unused,
   // root at 1, leaves at leaf_base_ + s); leaf_epochs_[s] is the epoch
   // leaf s was last refreshed at. dirty_ is scratch, kept to avoid a
   // per-Merge allocation on the hot zero-change path.
@@ -269,11 +172,6 @@ class MergeCache {
 
   std::atomic<uint64_t> merges_{0};
 };
-
-/// \brief Historical name from when the engine was linear-only; the linear
-/// prefix chain lives on as MergePolicy::kLinear.
-template <typename Summary>
-using PrefixMergeCache = MergeCache<Summary>;
 
 }  // namespace castream
 

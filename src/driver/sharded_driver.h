@@ -19,9 +19,9 @@
 //         -> query-time merge of the published snapshots.
 //
 // One query entry point — Query(cutoff, QueryOptions) returning
-// QueryAnswer{estimate, epochs} — serves both execution modes through one
-// merge engine (the historical names Query(c) / SnapshotQuery(c) /
-// MergedSummary() / SnapshotSummary() remain as one-line forwarders):
+// QueryAnswer{estimate, epochs}, with Summarize(QueryOptions) as the
+// whole-summary funnel beneath it — serves both execution modes through one
+// merge engine:
 //
 //   * QueryMode::kBlocking: Flush() first — drain the queues, republish
 //     every changed shard — then merge the snapshots. The answer covers
@@ -38,20 +38,14 @@
 //     pure-ingest pipelines never pay the copy-on-publish cost.
 //
 // The merge engine (src/driver/merge_cache.h, shared with the
-// cross-process reducer) memoizes merges keyed by snapshot epochs under a
-// per-query MergePolicy. The default, MergePolicy::kTree, is a binary
-// merge tree: a change confined to one shard re-merges only that leaf's
-// root path — O(log S) MergeFrom calls — and a repeated query over a
-// quiescent driver reuses the cached root with zero merges.
-// MergePolicy::kLinear replays the historical prefix chain in shard order,
-// bit-for-bit equal to merging the shards serially; it costs O(S) from the
-// first changed shard and exists as the reproducibility/debugging oracle.
-// Across policies answers are answer-equivalent (same (eps, delta)
-// guarantees; merge order is an implementation detail of mergeable
-// summaries), not bit-identical — the contract
-// tests/merge_policy_test.cc pins with TrialsWithin against exact oracles,
-// while tests/sharded_equivalence_test.cc keeps pinning kLinear's
-// bit-for-bit serial-merge identity.
+// cross-process reducer) is a binary merge tree memoized by snapshot
+// epochs: a change confined to one shard re-merges only that leaf's root
+// path — O(log S) MergeFrom calls — and a repeated query over a quiescent
+// driver reuses the cached root with zero merges. Merge order is an
+// implementation detail of mergeable summaries, so the tree fold is
+// answer-equivalent (same (eps, delta) guarantees) to a serial shard-order
+// fold, not bit-identical — a contract the tests pin with TrialsWithin
+// against exact oracles.
 //
 // The driver is written against the unified Summary protocol: any type
 // modeling ShardableSummary works, including the type-erased
@@ -62,15 +56,14 @@
 //
 // Determinism: with a single writer, each shard receives its sub-stream in
 // arrival order (queues are FIFO and batched ingest is exactly equivalent to
-// one-at-a-time ingest), so under MergePolicy::kLinear the driver's answers
-// are bit-for-bit equal to partitioning the stream by ShardOf and feeding S
-// summaries serially — asserted by tests/sharded_equivalence_test.cc. The
-// default tree policy is equally deterministic for a fixed shard count but
-// folds in tree order, so it is answer-equivalent rather than bit-equal to
-// the serial fold. With several concurrent writers the per-shard
-// interleaving (and thus bucket-closing timing) is scheduling-dependent,
-// but every interleaving is a valid stream order and keeps the summaries'
-// (eps, delta) guarantees.
+// one-at-a-time ingest), and the tree fold is a pure function of the shard
+// snapshots, so the driver's answers are bit-for-bit equal to partitioning
+// the stream by ShardOf, feeding S summaries serially, and folding them
+// through a fresh MergeCache — asserted by
+// tests/sharded_equivalence_test.cc. With several concurrent writers the
+// per-shard interleaving (and thus bucket-closing timing) is
+// scheduling-dependent, but every interleaving is a valid stream order and
+// keeps the summaries' (eps, delta) guarantees.
 #ifndef CASTREAM_DRIVER_SHARDED_DRIVER_H_
 #define CASTREAM_DRIVER_SHARDED_DRIVER_H_
 
@@ -144,7 +137,7 @@ struct ShardedDriverOptions {
   /// Each shard's ingest thread republishes its snapshot after this many
   /// batches (clamped to >= 1). The knob trades snapshot staleness against
   /// publish (deep copy) overhead on the ingest threads: while a shard is
-  /// actively ingesting, SnapshotQuery lags it by at most this many
+  /// actively ingesting, a snapshot query lags it by at most this many
   /// batches plus the queue depth, and each publish costs one summary copy
   /// amortized over the interval. A shard that goes *idle* with an
   /// unpublished tail is published by the snapshot query itself (try-lock,
@@ -153,8 +146,8 @@ struct ShardedDriverOptions {
   /// batch that may never come. All snapshot publication (interval, Flush)
   /// is armed by the first snapshot query, so pure-ingest pipelines never
   /// pay for copies nobody reads; the blocking query path republishes on
-  /// its own, so Query/MergedSummary are exact regardless of the cadence
-  /// or arming.
+  /// its own, so blocking queries are exact regardless of the cadence or
+  /// arming.
   size_t snapshot_interval_batches = 8;
   /// Seed of the x -> shard hash. All participants of one logical stream
   /// must agree on it (it defines the partition).
@@ -180,15 +173,10 @@ enum class QueryMode : uint8_t {
   kSnapshot,
 };
 
-/// \brief Per-query knobs for the unified query entry points. The defaults
-/// are what almost every caller wants: exact answers via the O(log S)
-/// incremental merge tree.
+/// \brief Per-query knobs for the unified query entry points. The default
+/// is an exact (blocking) answer.
 struct QueryOptions {
   QueryMode mode = QueryMode::kBlocking;
-  /// kTree re-merges only changed shards' root paths; kLinear replays the
-  /// serial shard-order fold bit-for-bit (the test/debug oracle, O(S) from
-  /// the first changed shard). See src/driver/merge_cache.h.
-  MergePolicy policy = MergePolicy::kTree;
 };
 
 /// \brief A point-query result carrying its provenance: `epochs[s]` is the
@@ -208,7 +196,7 @@ struct QueryAnswer {
 /// `make_summary` must produce summaries that are mergeable with each other
 /// (same options and seed — family identity is value-based, so independent
 /// calls with the same seed are compatible). The driver calls it S times for
-/// the shards and once for the merge engine's empty prefix.
+/// the shards and once for the merge engine's empty summary.
 template <SnapshotableSummary Summary>
 class ShardedDriver {
  public:
@@ -384,7 +372,7 @@ class ShardedDriver {
   /// \brief Republishes the snapshot of every shard whose summary changed
   /// since its last publish (no-op, and no epoch bump, for unchanged
   /// shards). Blocks on in-flight ingest batches — the blocking path's
-  /// tool; SnapshotQuery never calls it.
+  /// tool; snapshot-mode queries never call it.
   void PublishSnapshots() {
     for (auto& shard : shards_) PublishShard(*shard);
   }
@@ -398,11 +386,11 @@ class ShardedDriver {
   /// wedged ingest thread still cannot block it). The result is shared and
   /// immutable; shards are left untouched, so ingest continues and the
   /// call can be repeated — a repeat with no intervening ingest performs
-  /// zero shard merges (the epoch-keyed memo is hit), and under the
-  /// default tree policy a change confined to one shard re-merges only
-  /// that leaf's O(log S) root path. When `epochs` is non-null it receives
-  /// the per-shard snapshot epochs the merge covered (0 = never
-  /// published).
+  /// zero shard merges (the epoch-keyed memo is hit), and a change
+  /// confined to one shard re-merges only that leaf's O(log S) root path.
+  /// A driver with no published snapshots answers as a fresh summary (the
+  /// defined zero-stream state). When `epochs` is non-null it receives the
+  /// per-shard snapshot epochs the merge covered (0 = never published).
   Result<std::shared_ptr<const Summary>> Summarize(
       const QueryOptions& options = {},
       std::vector<uint64_t>* epochs = nullptr) {
@@ -421,22 +409,19 @@ class ShardedDriver {
       // forever. Publish such idle shards from here.
       TryPublishIdleShards(first_call);
     }
-    return MergeSnapshots(options.policy, epochs);
-  }
-
-  /// \brief Blocking whole-stream summary, returned by value. Forwards to
-  /// Summarize with the default (blocking, tree) options.
-  Result<Summary> MergedSummary() {
-    CASTREAM_ASSIGN_OR_RETURN(std::shared_ptr<const Summary> merged,
-                              Summarize());
-    return CopyOf(*merged);
-  }
-
-  /// \brief Non-blocking whole-stream summary; forwards to Summarize in
-  /// snapshot mode. A driver with no published snapshots answers as a
-  /// fresh summary (the defined zero-stream state).
-  Result<std::shared_ptr<const Summary>> SnapshotSummary() {
-    return Summarize(QueryOptions{.mode = QueryMode::kSnapshot});
+    // Gather the published snapshots, then fold them through the
+    // epoch-keyed MergeCache (the same engine the cross-process reducer
+    // runs).
+    const uint32_t count = shard_count();
+    std::vector<std::shared_ptr<const Summary>> snaps(count);
+    std::vector<uint64_t> shard_epochs(count);
+    for (uint32_t s = 0; s < count; ++s) {
+      std::lock_guard<std::mutex> lock(shards_[s]->snapshot_mu);
+      snaps[s] = shards_[s]->snapshot;
+      shard_epochs[s] = shards_[s]->snapshot_epoch;
+    }
+    if (epochs != nullptr) *epochs = shard_epochs;
+    return merge_cache_.Merge(snaps, shard_epochs);
   }
 
  private:
@@ -485,33 +470,7 @@ class ShardedDriver {
     }
   }
 
-  /// \brief The merge engine both query modes share: gather published
-  /// snapshots, then fold them through the epoch-keyed MergeCache
-  /// (src/driver/merge_cache.h — the same engine the cross-process reducer
-  /// runs) under the requested policy. `epochs_out`, when non-null,
-  /// receives the per-shard epochs the merge covered.
-  Result<std::shared_ptr<const Summary>> MergeSnapshots(
-      MergePolicy policy = MergePolicy::kTree,
-      std::vector<uint64_t>* epochs_out = nullptr) {
-    const uint32_t count = shard_count();
-    std::vector<std::shared_ptr<const Summary>> snaps(count);
-    std::vector<uint64_t> epochs(count);
-    for (uint32_t s = 0; s < count; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s]->snapshot_mu);
-      snaps[s] = shards_[s]->snapshot;
-      epochs[s] = shards_[s]->snapshot_epoch;
-    }
-    if (epochs_out != nullptr) *epochs_out = epochs;
-    return merge_cache_.Merge(snaps, epochs, policy);
-  }
-
  public:
-  /// \brief Drops the memoized prefix merges, forcing the next
-  /// SnapshotSummary/MergedSummary to rebuild from scratch. Exists so tests
-  /// can pin "incremental reuse answers == from-scratch answers"; never
-  /// needed for correctness.
-  void InvalidateSnapshotCache() { merge_cache_.Invalidate(); }
-
   /// \brief Serializes shard s's summary (the versioned wire format of
   /// src/io) — the unit a cross-process deployment ships to a reducer.
   /// Call Flush()/WaitIdle() first for a batch-complete snapshot; the shard
@@ -561,38 +520,12 @@ class ShardedDriver {
   /// simply record the publishes the flush produced; in kSnapshot mode
   /// they are the staleness observable (compare against ShardEpochs() or a
   /// later answer's vector to see which shards have moved).
-  Result<QueryAnswer> Query(uint64_t c, const QueryOptions& options) {
+  Result<QueryAnswer> Query(uint64_t c, const QueryOptions& options = {}) {
     QueryAnswer answer;
     CASTREAM_ASSIGN_OR_RETURN(std::shared_ptr<const Summary> merged,
                               Summarize(options, &answer.epochs));
     CASTREAM_ASSIGN_OR_RETURN(answer.estimate, merged->Query(c));
     return answer;
-  }
-
-  /// \brief Blocking convenience point query; thin wrapper over the
-  /// unified Query with default options, dropping the epoch vector.
-  Result<double> Query(uint64_t c) {
-    CASTREAM_ASSIGN_OR_RETURN(QueryAnswer answer, Query(c, QueryOptions{}));
-    return answer.estimate;
-  }
-
-  /// \brief Non-blocking point query over the published snapshots; thin
-  /// wrapper over the unified Query in snapshot mode, dropping the epoch
-  /// vector. Never waits on the shard queues or ingest threads:
-  /// backpressured writers and a wedged ingest batch cannot stall it. The
-  /// answer covers a recent batch-boundary prefix of the stream (see
-  /// Summarize).
-  Result<double> SnapshotQuery(uint64_t c) {
-    CASTREAM_ASSIGN_OR_RETURN(
-        QueryAnswer answer, Query(c, QueryOptions{.mode = QueryMode::kSnapshot}));
-    return answer.estimate;
-  }
-
-  /// \brief Snapshot-mode point query that also reports the per-shard
-  /// epochs the answer covers — SnapshotQuery with the staleness
-  /// provenance attached.
-  Result<QueryAnswer> SnapshotQueryAnswer(uint64_t c) {
-    return Query(c, QueryOptions{.mode = QueryMode::kSnapshot});
   }
 
   /// \brief The shard an item identifier routes to (the partition function;
@@ -666,12 +599,6 @@ class ShardedDriver {
     return o;
   }
 
-  /// \brief Deep copy of a summary: the copy constructor where available,
-  /// otherwise the explicit Clone() (AnySummary). Both are exact — the copy
-  /// is structurally identical, so merges behave as if the original were
-  /// used.
-  static Summary CopyOf(const Summary& s) { return SummaryDeepCopy(s); }
-
   /// \brief Publishes a fresh snapshot of `shard` if (and only if) its
   /// summary changed since the last publish. Called from the shard's own
   /// worker every snapshot_interval batches and from PublishSnapshots on
@@ -692,7 +619,7 @@ class ShardedDriver {
       std::lock_guard<std::mutex> slock(shard.snapshot_mu);
       if (shard.snapshot_batches >= batches) return;  // already current
     }
-    Summary copy = CopyOf(shard.summary);
+    Summary copy = SummaryDeepCopy(shard.summary);
     std::lock_guard<std::mutex> slock(shard.snapshot_mu);
     shard.snapshot = std::make_shared<const Summary>(std::move(copy));
     ++shard.snapshot_epoch;
@@ -739,16 +666,12 @@ class ShardedDriver {
 
   ShardedDriverOptions options_;
   std::function<Summary()> make_summary_;
-  // The epoch-keyed merge engine (src/driver/merge_cache.h; also the
-  // reducer's engine). Memory trade, deliberate: the default tree policy
-  // pins up to S-1 internal-node copies (plus the S published snapshots)
-  // on top of the live shards — roughly 3x one summary set, same order as
-  // the old linear prefix chain — in exchange for O(log S) re-merges on
-  // single-shard change and zero-merge repeat queries. Querying under
-  // *both* policies additionally materializes the linear memo (another
-  // ~S copies). A deployment that can't afford it can shrink via
-  // fewer/smaller shards or drop the memos between query bursts with
-  // InvalidateSnapshotCache.
+  // The epoch-keyed merge tree (src/driver/merge_cache.h; also the
+  // reducer's engine). Memory trade, deliberate: it pins up to S-1
+  // internal-node copies (plus the S published snapshots) on top of the
+  // live shards — roughly 3x one summary set — in exchange for O(log S)
+  // re-merges on single-shard change and zero-merge repeat queries. A
+  // deployment that can't afford it runs fewer or smaller shards.
   MergeCache<Summary> merge_cache_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Writer> default_writer_;
@@ -772,8 +695,8 @@ class ShardedDriver {
   std::mutex nudge_mu_;
   std::vector<uint64_t> last_seen_batches_;  // per-shard, for idle detection
   std::chrono::steady_clock::time_point last_nudge_{};
-  // Set (permanently) by the first SnapshotSummary/SnapshotQuery; gates the
-  // ingest threads' interval publication.
+  // Set (permanently) by the first snapshot-mode query; gates the ingest
+  // threads' interval publication.
   std::atomic<bool> snapshots_armed_{false};
 };
 

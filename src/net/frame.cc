@@ -50,6 +50,14 @@ Status DecodeFrameHeader(std::span<const std::byte> bytes,
 
 Status WriteFrame(Socket& socket, FrameHeader header,
                   std::string_view payload) {
+  // The receiver rejects such a header as hostile and drops the
+  // connection; refusing here keeps an oversize publish from turning into
+  // a reconnect loop that ends as a retryable Unavailable.
+  if (payload.size() > kMaxPayloadBytes) {
+    return Status::InvalidArgument(
+        "frame: payload of " + std::to_string(payload.size()) +
+        " bytes exceeds the frame cap of " + std::to_string(kMaxPayloadBytes));
+  }
   header.payload_bytes = payload.size();
   std::string wire;
   wire.reserve(kFrameHeaderBytes + payload.size());

@@ -100,6 +100,8 @@ struct Frame {
 
 /// \brief Writes header + payload as one frame. `payload.size()` overrides
 /// whatever header.payload_bytes says — the two can't disagree on the wire.
+/// A payload over kMaxPayloadBytes is InvalidArgument, and nothing is
+/// written.
 [[nodiscard]] Status WriteFrame(Socket& socket, FrameHeader header,
                                 std::string_view payload);
 

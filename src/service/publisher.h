@@ -87,6 +87,8 @@ class ShardPublisher {
   /// needed. Already-acked epochs for the shard are skipped (idempotence
   /// starts at the sender). Returns:
   ///   OK                  — acked (accepted or duplicate) or skipped
+  ///   InvalidArgument     — the blob exceeds the frame cap
+  ///                         (net::kMaxPayloadBytes); never sent
   ///   Unavailable         — transport kept failing; retry next cadence
   ///   PreconditionFailed  — reducer rejected the blob; re-sending the
   ///                         same bytes cannot help (config mismatch)

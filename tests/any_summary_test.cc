@@ -186,10 +186,10 @@ TEST(AnySummaryTest, ShardedDriverRunsOnAnySummaryAndShipsShardBlobs) {
       ASSERT_TRUE(shard.ok()) << name << ": " << shard.status().ToString();
       ASSERT_TRUE(from_blobs.MergeFrom(shard.value()).ok()) << name;
     }
-    auto merged = driver.MergedSummary();
+    auto merged = driver.Summarize();
     ASSERT_TRUE(merged.ok()) << name;
     for (uint64_t c : {uint64_t{0}, uint64_t{777}, opts.y_max}) {
-      const auto qa = merged.value().Query(c);
+      const auto qa = merged.value()->Query(c);
       const auto qb = from_blobs.Query(c);
       ASSERT_EQ(qa.ok(), qb.ok()) << name << " c=" << c;
       if (qa.ok()) {

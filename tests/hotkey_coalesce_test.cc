@@ -271,10 +271,10 @@ TEST(CoalescedDriverEquivalenceTest, MatchesReplayOracle) {
       CoalescedOracle(driver, make, stream, kSlots, {}, &oracle_rows);
   EXPECT_EQ(driver.tuples_processed(), oracle_rows);
 
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  ASSERT_TRUE(merged.value().ValidateInvariants().ok());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), opts.y_max);
+  ASSERT_TRUE(merged.value()->ValidateInvariants().ok());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), opts.y_max);
 }
 
 TEST(CoalescedDriverEquivalenceTest, MidStreamFlushDrainsPartialBuffer) {
@@ -306,9 +306,9 @@ TEST(CoalescedDriverEquivalenceTest, MidStreamFlushDrainsPartialBuffer) {
       CoalescedOracle(driver, make, prefix, kSlots, {}, &rows_after_flush);
   EXPECT_EQ(driver.tuples_processed(), rows_after_flush);
   {
-    auto merged = driver.MergedSummary();
+    auto merged = driver.Summarize();
     ASSERT_TRUE(merged.ok());
-    ExpectIdenticalScalarQueries(oracle_at_cut, merged.value(), opts.y_max);
+    ExpectIdenticalScalarQueries(oracle_at_cut, *merged.value(), opts.y_max);
   }
 
   // Keep ingesting past the boundary; the final answer must match the
@@ -320,9 +320,9 @@ TEST(CoalescedDriverEquivalenceTest, MidStreamFlushDrainsPartialBuffer) {
   const auto final_oracle = CoalescedOracle(driver, make, stream, kSlots,
                                             /*flush_at=*/{kCut}, &total_rows);
   EXPECT_EQ(driver.tuples_processed(), total_rows);
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  ExpectIdenticalScalarQueries(final_oracle, merged.value(), opts.y_max);
+  ExpectIdenticalScalarQueries(final_oracle, *merged.value(), opts.y_max);
 }
 
 }  // namespace

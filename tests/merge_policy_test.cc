@@ -1,26 +1,24 @@
-// The dual-policy merge engine's contract (label: concurrency).
+// The merge engine's contract (label: concurrency).
 //
-// src/driver/merge_cache.h serves every query through one of two memoized
-// evaluation shapes: MergePolicy::kTree (the default binary merge tree,
-// O(log S) MergeFrom calls per changed slot) and MergePolicy::kLinear (the
-// serial shard-order prefix chain, the bit-for-bit oracle). This suite
-// pins the redesigned contract between them:
+// src/driver/merge_cache.h serves every query through one memoized binary
+// merge tree (O(log S) MergeFrom calls per changed slot). This suite pins:
 //
 //   * Cost: the tree's merge counts are exactly the structural ones — a
 //     full build over S populated leaves is S-1 merges, single-leaf churn
 //     re-merges only the log2(S) root path (slot position irrelevant),
 //     and never-published slots are aliased for free. Verified both on a
 //     bare MergeCache at S=64 and through a 64-shard ShardedDriver under
-//     single-shard churn — the ISSUE's acceptance criterion.
-//   * Correctness: per policy, an incrementally-maintained memo answers
-//     bit-for-bit like a from-scratch rebuild over the same snapshots
-//     (stale parents are never served), and null leaves contribute
-//     nothing (checked exactly via tuples_inserted).
-//   * Equivalence: across policies, answers are answer-equivalent, not
-//     bit-equal — for the f2/f0/rarity/hh registry kinds, under randomized slot
-//     arrival orders, both policies' estimates land within the summaries'
-//     accuracy band of exact ground truth (TrialsWithin, the same
-//     (eps, delta) shape every guarantee in the paper has).
+//     single-shard churn.
+//   * Correctness: an incrementally-maintained memo answers bit-for-bit
+//     like a from-scratch rebuild over the same snapshots (stale parents
+//     are never served), and null leaves contribute nothing (checked
+//     exactly via tuples_inserted).
+//   * Equivalence: the tree fold and the serial slot-order fold
+//     (test::SerialFold) are answer-equivalent, not bit-equal — for every
+//     registry kind, under randomized slot arrival orders, both estimates
+//     land within the summaries' accuracy band of exact ground truth
+//     (TrialsWithin, the same (eps, delta) shape every guarantee in the
+//     paper has).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -118,17 +116,6 @@ TEST(MergePolicyTest, TreeCountsFullBuildAndRootPathChurnAtS64) {
     expected += 6;
     EXPECT_EQ(cache.merges_performed(), expected) << "slot " << slot;
   }
-
-  // The linear chain, by contrast, pays S merges for slot-0 churn.
-  snaps[0] = MakeSnapshots(1, opts, 99)[0];
-  ++epochs[0];
-  ASSERT_TRUE(cache.Merge(snaps, epochs, MergePolicy::kLinear).ok());
-  const uint64_t after_linear_build = expected + kSlots;  // first fold: all
-  EXPECT_EQ(cache.merges_performed(), after_linear_build);
-  snaps[0] = MakeSnapshots(1, opts, 100)[0];
-  ++epochs[0];
-  ASSERT_TRUE(cache.Merge(snaps, epochs, MergePolicy::kLinear).ok());
-  EXPECT_EQ(cache.merges_performed(), after_linear_build + kSlots);
 }
 
 TEST(MergePolicyTest, TreeHandlesNonPowerOfTwoAndNullSlots) {
@@ -161,46 +148,44 @@ TEST(MergePolicyTest, TreeHandlesNonPowerOfTwoAndNullSlots) {
                 made[2]->tuples_inserted() + made[4]->tuples_inserted());
 }
 
-// Incrementally churned memo == from-scratch rebuild, bit-for-bit, per
-// policy (the "stale parents are never served" pin).
+// Incrementally churned memo == from-scratch rebuild, bit-for-bit (the
+// "stale parents are never served" pin).
 TEST(MergePolicyTest, ChurnedMemoMatchesFreshRebuildBitForBit) {
   const auto opts = F2Options();
   constexpr size_t kSlots = 11;  // non-power-of-two on purpose
   auto snaps = MakeSnapshots(kSlots, opts, 3);
   std::vector<uint64_t> epochs(kSlots, 1);
 
-  for (MergePolicy policy : {MergePolicy::kTree, MergePolicy::kLinear}) {
-    MergeCache<CorrelatedF2Sketch> churned(
-        [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
-    ASSERT_TRUE(churned.Merge(snaps, epochs, policy).ok());
-    Xoshiro256 rng = TestRng(74);
-    for (int round = 0; round < 20; ++round) {
-      const size_t slot = rng.NextBounded(kSlots);
-      snaps[slot] = MakeSnapshots(1, opts, 200 + round)[0];
-      ++epochs[slot];
-      ASSERT_TRUE(churned.Merge(snaps, epochs, policy).ok());
-    }
-    auto reused = churned.Merge(snaps, epochs, policy);
-    ASSERT_TRUE(reused.ok());
+  MergeCache<CorrelatedF2Sketch> churned(
+      [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
+  ASSERT_TRUE(churned.Merge(snaps, epochs).ok());
+  Xoshiro256 rng = TestRng(74);
+  for (int round = 0; round < 20; ++round) {
+    const size_t slot = rng.NextBounded(kSlots);
+    snaps[slot] = MakeSnapshots(1, opts, 200 + round)[0];
+    ++epochs[slot];
+    ASSERT_TRUE(churned.Merge(snaps, epochs).ok());
+  }
+  auto reused = churned.Merge(snaps, epochs);
+  ASSERT_TRUE(reused.ok());
 
-    MergeCache<CorrelatedF2Sketch> fresh(
-        [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
-    auto rebuilt = fresh.Merge(snaps, epochs, policy);
-    ASSERT_TRUE(rebuilt.ok());
-    for (uint64_t c : {uint64_t{0}, opts.y_max / 3, opts.y_max}) {
-      const auto qa = reused.value()->Query(c);
-      const auto qb = rebuilt.value()->Query(c);
-      ASSERT_EQ(qa.ok(), qb.ok()) << "c=" << c;
-      if (qa.ok()) {
-        ASSERT_EQ(qa.value(), qb.value()) << "c=" << c;
-      }
+  MergeCache<CorrelatedF2Sketch> fresh(
+      [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
+  auto rebuilt = fresh.Merge(snaps, epochs);
+  ASSERT_TRUE(rebuilt.ok());
+  for (uint64_t c : {uint64_t{0}, opts.y_max / 3, opts.y_max}) {
+    const auto qa = reused.value()->Query(c);
+    const auto qb = rebuilt.value()->Query(c);
+    ASSERT_EQ(qa.ok(), qb.ok()) << "c=" << c;
+    if (qa.ok()) {
+      ASSERT_EQ(qa.value(), qb.value()) << "c=" << c;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Cost shape, through the driver (the ISSUE acceptance criterion: S=64
-// single-shard churn performs O(log S) = 6 MergeFrom calls per query).
+// Cost shape, through the driver: S=64 single-shard churn performs
+// O(log S) = 6 MergeFrom calls per query.
 
 TEST(MergePolicyTest, DriverSingleShardChurnAtS64IsLogS) {
   const auto opts = F2Options();
@@ -236,16 +221,17 @@ TEST(MergePolicyTest, DriverSingleShardChurnAtS64IsLogS) {
 }
 
 // ---------------------------------------------------------------------------
-// Answer equivalence across policies, the f2/f0/rarity/hh registry kinds, randomized
-// slot arrival orders.
+// Answer equivalence between the tree and the serial fold, every registry
+// kind, randomized slot arrival orders.
 
 struct KindCase {
   std::string_view name;
   // Exact ground truth at cutoff c for the kind's scalar query.
   double (*truth)(const std::vector<Tuple>& stream, uint64_t c);
-  // Acceptance band around the truth (generous: equivalence, not accuracy,
-  // is under test — the per-kind accuracy suites pin tight bands).
-  double (*tolerance)(double truth);
+  // Whether an estimate is acceptable for that truth (generous:
+  // equivalence, not accuracy, is under test — the per-kind accuracy
+  // suites pin tight bands).
+  bool (*within)(double estimate, double truth);
 };
 
 double F2Truth(const std::vector<Tuple>& stream, uint64_t c) {
@@ -268,14 +254,30 @@ double RarityTruth(const std::vector<Tuple>& stream, uint64_t c) {
   return oracle.Rarity(c);
 }
 
-double RelativeBand(double truth) { return 2.0 * 0.25 * truth + 10.0; }
-double AdditiveBand(double) { return 0.25; }
+double CountTruth(const std::vector<Tuple>& stream, uint64_t c) {
+  return static_cast<double>(std::count_if(
+      stream.begin(), stream.end(), [c](const Tuple& t) { return t.y <= c; }));
+}
+
+bool RelativeBand(double estimate, double truth) {
+  return std::abs(estimate - truth) <= 2.0 * 0.25 * truth + 10.0;
+}
+bool AdditiveBand(double estimate, double truth) {
+  return std::abs(estimate - truth) <= 0.25;
+}
+// The counter kinds' scalar query is folded counter mass: a certain lower
+// bound on the selected tuple count, never an overcount.
+bool LowerBound(double estimate, double truth) {
+  return estimate >= 0.0 && estimate <= truth;
+}
 
 constexpr KindCase kKindCases[] = {
     {"f2", &F2Truth, &RelativeBand},
     {"f0", &DistinctTruth, &RelativeBand},
     {"rarity", &RarityTruth, &AdditiveBand},
     {"hh", &F2Truth, &RelativeBand},  // the hh scalar query is backing F2
+    {"chh_mg", &CountTruth, &LowerBound},
+    {"chh_fast", &CountTruth, &LowerBound},
 };
 
 TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
@@ -293,6 +295,7 @@ TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
     SCOPED_TRACE(std::string(kind.name));
     EXPECT_TRUE(TrialsWithin(10, 0.2, [&](int trial) {
       const uint64_t seed = 500 + static_cast<uint64_t>(trial);
+      auto make = [&] { return MakeSummary(kind.name, sopts, seed).value(); };
       // Domain ~ stream length: real singleton mass, so the rarity case
       // compares nontrivial fractions rather than 0 == 0.
       const auto stream = MakeStream(5000, 4000, kYMax, seed);
@@ -300,9 +303,7 @@ TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
       // Partition the stream across slots by x (any fixed split works; the
       // split just has to be consistent with the truth being whole-stream).
       std::vector<AnySummary> parts;
-      for (size_t s = 0; s < kSlots; ++s) {
-        parts.push_back(MakeSummary(kind.name, sopts, seed).value());
-      }
+      for (size_t s = 0; s < kSlots; ++s) parts.push_back(make());
       for (const Tuple& t : stream) {
         parts[t.x % kSlots].Insert(t.x, t.y);
       }
@@ -316,8 +317,7 @@ TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
       for (size_t s = kSlots - 1; s > 0; --s) {
         std::swap(order[s], order[rng.NextBounded(s + 1)]);
       }
-      MergeCache<AnySummary> cache(
-          [&] { return MakeSummary(kind.name, sopts, seed).value(); });
+      MergeCache<AnySummary> cache(make);
       std::vector<std::shared_ptr<const AnySummary>> snaps(kSlots);
       std::vector<uint64_t> epochs(kSlots, 0);
       Result<std::shared_ptr<const AnySummary>> tree =
@@ -326,22 +326,21 @@ TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
         snaps[s] =
             std::make_shared<const AnySummary>(std::move(parts[s]));
         epochs[s] = 1;
-        tree = cache.Merge(snaps, epochs, MergePolicy::kTree);
+        tree = cache.Merge(snaps, epochs);
         if (!tree.ok()) return false;
       }
-      const auto linear = cache.Merge(snaps, epochs, MergePolicy::kLinear);
-      if (!linear.ok()) return false;
+      const auto serial = test::SerialFold(snaps, make);
+      if (!serial.ok()) return false;
 
       for (uint64_t c : {kYMax / 4, kYMax / 2, kYMax}) {
         const double truth = kind.truth(stream, c);
-        const double band = kind.tolerance(truth);
         const auto qt = tree.value()->Query(c);
-        const auto ql = linear.value()->Query(c);
-        if (!qt.ok() || !ql.ok()) return false;
-        // Both evaluation shapes must estimate the same exact quantity
-        // within the summary's band — that is the relaxed contract.
-        if (std::abs(qt.value() - truth) > band) return false;
-        if (std::abs(ql.value() - truth) > band) return false;
+        const auto qs = serial.value().Query(c);
+        if (!qt.ok() || !qs.ok()) return false;
+        // Both fold orders must estimate the same exact quantity within
+        // the summary's band — that is the relaxed contract.
+        if (!kind.within(qt.value(), truth)) return false;
+        if (!kind.within(qs.value(), truth)) return false;
       }
       return true;
     }));

@@ -1,15 +1,16 @@
 // The sharded driver is documented as *deterministic* with a single writer:
 // each shard receives its x-partitioned sub-stream in arrival order, batched
 // ingest is exactly equivalent to one-at-a-time ingest, and query-time
-// merging is a pure function of the shard states. Under MergePolicy::kLinear
-// — the policy this suite pins — an S-shard driver run must return answers
-// bit-for-bit equal to the serial "merge oracle": feed S summaries by
-// partitioning the stream with the driver's own ShardOf, then merge them in
-// shard order. Checked for every summary type, plus the S=1 degenerate case
-// against a plain unsharded summary. (The default tree policy folds the
-// same shard states in a different order; its contract is
-// answer-equivalence, pinned by tests/merge_policy_test.cc.)
+// merging is a pure function of the shard snapshots. So an S-shard driver
+// run must return answers bit-for-bit equal to the "merge oracle": feed S
+// summaries serially by partitioning the stream with the driver's own
+// ShardOf, then fold them through a fresh production MergeCache. Checked
+// for every summary type, plus the S=1 degenerate case against a plain
+// unsharded summary. (The tree fold is answer-equivalent, not bit-equal,
+// to a serial shard-order fold; that contract is pinned by
+// tests/merge_policy_test.cc.)
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/core/correlated_f0.h"
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"
+#include "src/driver/merge_cache.h"
 #include "src/driver/sharded_driver.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
@@ -71,34 +73,27 @@ void FeedDriver(ShardedDriver<Summary>& driver,
   }
 }
 
-/// \brief The driver-side answer this suite compares: a blocking summarize
-/// under the linear policy — the path documented bit-for-bit equal to the
-/// serial shard-order merge — returned by value like MergedSummary.
-template <typename Summary>
-Result<Summary> LinearMergedSummary(ShardedDriver<Summary>& driver) {
-  auto merged = driver.Summarize(QueryOptions{
-      .mode = QueryMode::kBlocking, .policy = MergePolicy::kLinear});
-  if (!merged.ok()) return merged.status();
-  return SummaryDeepCopy(*merged.value());
-}
-
-/// \brief Serial merge oracle: partition by the driver's own ShardOf, feed
-/// S summaries in stream order, merge them in shard order.
+/// \brief Merge oracle: partition by the driver's own ShardOf, feed S
+/// summaries serially in stream order, and fold them through a fresh
+/// MergeCache. A shard that received no tuples never publishes, so its slot
+/// stays empty here too.
 template <typename Summary, typename Make>
 Summary MergeOracle(const ShardedDriver<Summary>& driver, Make make,
                     const std::vector<Tuple>& stream) {
-  std::vector<Summary> shards;
-  for (uint32_t s = 0; s < driver.shard_count(); ++s) shards.push_back(make());
   std::vector<std::vector<Tuple>> parts(driver.shard_count());
   for (const Tuple& t : stream) parts[driver.ShardOf(t.x)].push_back(t);
+  std::vector<std::shared_ptr<const Summary>> snaps(driver.shard_count());
   for (uint32_t s = 0; s < driver.shard_count(); ++s) {
-    shards[s].InsertBatch(std::span<const Tuple>(parts[s]));
+    if (parts[s].empty()) continue;
+    Summary shard = make();
+    shard.InsertBatch(std::span<const Tuple>(parts[s]));
+    snaps[s] = std::make_shared<const Summary>(std::move(shard));
   }
-  Summary merged = make();
-  for (const Summary& shard : shards) {
-    EXPECT_TRUE(merged.MergeFrom(shard).ok());
-  }
-  return merged;
+  MergeCache<Summary> cache(make);
+  auto merged =
+      cache.Merge(snaps, std::vector<uint64_t>(driver.shard_count(), 1));
+  EXPECT_TRUE(merged.ok());
+  return SummaryDeepCopy(*merged.value());
 }
 
 template <typename Summary>
@@ -136,13 +131,13 @@ TEST(ShardedEquivalenceTest, F2DriverMatchesMergeOracle) {
   dopts.batch_size = 256;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ASSERT_TRUE(merged.value().ValidateInvariants().ok());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), opts.y_max);
+  ASSERT_TRUE(merged.value()->ValidateInvariants().ok());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), opts.y_max);
 }
 
 TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
@@ -160,9 +155,9 @@ TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
   dopts.shards = 1;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  ExpectIdenticalScalarQueries(unsharded, merged.value(), opts.y_max);
+  ExpectIdenticalScalarQueries(unsharded, *merged.value(), opts.y_max);
 }
 
 TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
@@ -178,13 +173,13 @@ TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF0Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
   EXPECT_EQ(oracle.StoredTuplesEquivalent(),
-            merged.value().StoredTuplesEquivalent());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+            merged.value()->StoredTuplesEquivalent());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
 }
 
 TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
@@ -201,11 +196,11 @@ TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
   dopts.batch_size = 100;
   ShardedDriver<CorrelatedRaritySketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
 }
 
 TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
@@ -218,19 +213,19 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF2HeavyHitters> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
   for (uint64_t c : CutoffLadder(opts.y_max, 101)) {
     const auto fa = oracle.QueryF2(c);
-    const auto fb = merged.value().QueryF2(c);
+    const auto fb = merged.value()->QueryF2(c);
     ASSERT_EQ(fa.ok(), fb.ok()) << "c=" << c;
     if (fa.ok()) {
       ASSERT_EQ(fa.value(), fb.value()) << "c=" << c;
     }
     const auto ha = oracle.Query(c, 0.1);
-    const auto hb = merged.value().Query(c, 0.1);
+    const auto hb = merged.value()->Query(c, 0.1);
     ASSERT_EQ(ha.ok(), hb.ok()) << "c=" << c;
     if (!ha.ok()) continue;
     ASSERT_EQ(ha.value().size(), hb.value().size()) << "c=" << c;
@@ -243,8 +238,8 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
 }
 
 // The two counter-based CHH kinds are fully deterministic, so the driver
-// under the linear policy must match the serial merge oracle bit for bit —
-// scalar queries, the ranked hitter lists, and the serialized bytes.
+// must match the merge oracle bit for bit — scalar queries, the ranked
+// hitter lists, and the serialized bytes.
 template <typename Chh>
 void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   CorrelatedChhOptions opts;
@@ -258,17 +253,17 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   dopts.shards = 4;
   ShardedDriver<Chh> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  EXPECT_EQ(oracle.TotalWeight(), merged.value().TotalWeight());
-  EXPECT_EQ(oracle.PrimaryDecrements(), merged.value().PrimaryDecrements());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+  EXPECT_EQ(oracle.TotalWeight(), merged.value()->TotalWeight());
+  EXPECT_EQ(oracle.PrimaryDecrements(), merged.value()->PrimaryDecrements());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
   for (uint64_t c : CutoffLadder(y_max, 102)) {
     const auto ha = oracle.QueryHeavyHitters(c, 0.05);
-    const auto hb = merged.value().QueryHeavyHitters(c, 0.05);
+    const auto hb = merged.value()->QueryHeavyHitters(c, 0.05);
     ASSERT_EQ(ha.ok(), hb.ok()) << "c=" << c;
     if (!ha.ok()) continue;
     ASSERT_EQ(ha.value().size(), hb.value().size()) << "c=" << c;
@@ -283,7 +278,7 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   std::string oracle_blob;
   std::string merged_blob;
   ASSERT_TRUE(oracle.Serialize(&oracle_blob).ok());
-  ASSERT_TRUE(merged.value().Serialize(&merged_blob).ok());
+  ASSERT_TRUE(merged.value()->Serialize(&merged_blob).ok());
   EXPECT_EQ(oracle_blob, merged_blob);
 }
 
@@ -296,7 +291,7 @@ TEST(ShardedEquivalenceTest, FastChhDriverMatchesMergeOracle) {
 }
 
 TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
-  // MergedSummary must leave the shards intact: query, keep ingesting, and
+  // Summarize must leave the shards intact: query, keep ingesting, and
   // query again — the second answer covers the whole stream so far.
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/47);
@@ -310,18 +305,18 @@ TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   const size_t half = stream.size() / 2;
   driver.InsertBatch(std::span<const Tuple>(stream.data(), half));
-  auto first = LinearMergedSummary(driver);
+  auto first = driver.Summarize();
   ASSERT_TRUE(first.ok());
   driver.InsertBatch(
       std::span<const Tuple>(stream.data() + half, stream.size() - half));
-  auto second = LinearMergedSummary(driver);
+  auto second = driver.Summarize();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ExpectIdenticalScalarQueries(oracle, second.value(), opts.y_max);
+  ExpectIdenticalScalarQueries(oracle, *second.value(), opts.y_max);
   // And the first snapshot answers over the prefix only.
-  EXPECT_EQ(first.value().tuples_inserted(), half);
+  EXPECT_EQ(first.value()->tuples_inserted(), half);
 }
 
 }  // namespace

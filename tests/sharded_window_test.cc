@@ -23,6 +23,8 @@ namespace {
 using test::TestRng;
 using test::TrialsWithin;
 
+constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
+
 CorrelatedSketchOptions WindowOptions(uint64_t t_max) {
   CorrelatedSketchOptions o;
   o.eps = 0.25;
@@ -77,20 +79,21 @@ TEST(ShardedWindowTest, ErrorPathsMatchUnshardedStatusCodes) {
   EXPECT_EQ(s_past.status().code(), u_past.status().code());
 
   // The snapshot path surfaces the same codes as the blocking path.
-  const auto snap_wm = sharded.SnapshotQueryWindow(5000, 10);
+  const auto snap_wm = sharded.QueryWindow(5000, 10, kSnapshot);
   ASSERT_FALSE(snap_wm.ok());
   EXPECT_EQ(snap_wm.status().code(), s_wm.status().code());
-  const auto snap_past = sharded.SnapshotQueryWindow(500, 100);
+  const auto snap_past = sharded.QueryWindow(500, 100, kSnapshot);
   ASSERT_FALSE(snap_past.ok());
   EXPECT_EQ(snap_past.status().code(), s_past.status().code());
 
   // Width-0 windows are empty, not errors, for both.
-  EXPECT_DOUBLE_EQ(sharded.QueryWindow(950, 0).value(), 0.0);
+  EXPECT_DOUBLE_EQ(sharded.QueryWindow(950, 0).value().estimate, 0.0);
   EXPECT_DOUBLE_EQ(unsharded.QueryWindow(950, 0).value(), 0.0);
-  EXPECT_DOUBLE_EQ(sharded.SnapshotQueryWindow(950, 0).value(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      sharded.QueryWindow(950, 0, kSnapshot).value().estimate, 0.0);
 
   // QuerySince beyond the domain is empty for both.
-  EXPECT_DOUBLE_EQ(sharded.QuerySince(1001).value(), 0.0);
+  EXPECT_DOUBLE_EQ(sharded.QuerySince(1001).value().estimate, 0.0);
   EXPECT_DOUBLE_EQ(unsharded.QuerySince(1001).value(), 0.0);
 }
 
@@ -106,17 +109,18 @@ TEST(ShardedWindowTest, SelectsRecentItemsDespiteOutOfOrderArrival) {
   ASSERT_TRUE(win.Observe(1, 920).ok());
 
   // Window (850, 950]: items 1 (twice) and 3 once -> F2 = 4 + 1 = 5.
-  EXPECT_DOUBLE_EQ(win.QueryWindow(950, 100).value(), 5.0);
+  EXPECT_DOUBLE_EQ(win.QueryWindow(950, 100).value().estimate, 5.0);
   // Window (450, 950]: items 1 (x2), 3, 4 -> F2 = 4 + 1 + 1 = 6.
-  EXPECT_DOUBLE_EQ(win.QueryWindow(950, 500).value(), 6.0);
+  EXPECT_DOUBLE_EQ(win.QueryWindow(950, 500).value().estimate, 6.0);
   // Everything: frequencies {1:2, 2:1, 3:1, 4:1} -> F2 = 7.
-  EXPECT_DOUBLE_EQ(win.QueryWindow(1000, 1001).value(), 7.0);
+  EXPECT_DOUBLE_EQ(win.QueryWindow(1000, 1001).value().estimate, 7.0);
   // t >= 500: {1:2, 3:1, 4:1} -> F2 = 6.
-  EXPECT_DOUBLE_EQ(win.QuerySince(500).value(), 6.0);
+  EXPECT_DOUBLE_EQ(win.QuerySince(500).value().estimate, 6.0);
   // Post-flush snapshots agree bit-for-bit.
   win.Flush();
-  EXPECT_DOUBLE_EQ(win.SnapshotQueryWindow(950, 100).value(), 5.0);
-  EXPECT_DOUBLE_EQ(win.SnapshotQuerySince(500).value(), 6.0);
+  EXPECT_DOUBLE_EQ(
+      win.QueryWindow(950, 100, kSnapshot).value().estimate, 5.0);
+  EXPECT_DOUBLE_EQ(win.QuerySince(500, kSnapshot).value().estimate, 6.0);
 }
 
 // One trial of the oracle equivalence: events delivered in the given
@@ -168,7 +172,8 @@ bool OracleTrial(Arrival arrival, uint64_t seed) {
     const auto s = sharded.QueryWindow(t_max, window);
     const auto u = unsharded.QueryWindow(t_max, window);
     if (!s.ok() || !u.ok()) return false;
-    if (!WithinRelativeError(s.value(), truth.Estimate(), opts.eps)) {
+    if (!WithinRelativeError(s.value().estimate, truth.Estimate(),
+                             opts.eps)) {
       return false;
     }
     if (!WithinRelativeError(u.value(), truth.Estimate(), opts.eps)) {
@@ -224,9 +229,9 @@ TEST(ShardedWindowTest, ConcurrentObserversAndSnapshotQueries) {
     for (int probe = 0; probe < 20; ++probe) {
       // The watermark t_max is always >= max observed t, so the only
       // acceptable outcome mid-ingest is a valid (possibly stale) answer.
-      const auto q = window.SnapshotQueryWindow(t_max, t_max / 2);
+      const auto q = window.QueryWindow(t_max, t_max / 2, kSnapshot);
       ASSERT_TRUE(q.ok());
-      EXPECT_GE(q.value(), 0.0);
+      EXPECT_GE(q.value().estimate, 0.0);
     }
     a.join();
     b.join();
@@ -235,11 +240,12 @@ TEST(ShardedWindowTest, ConcurrentObserversAndSnapshotQueries) {
   window.Flush();
   for (uint64_t w : {t_max / uint64_t{8}, t_max / uint64_t{2},
                      t_max + uint64_t{1}}) {
-    const auto snapshot = window.SnapshotQueryWindow(t_max, w);
+    const auto snapshot = window.QueryWindow(t_max, w, kSnapshot);
     const auto blocking = window.QueryWindow(t_max, w);
     ASSERT_EQ(snapshot.ok(), blocking.ok()) << "window=" << w;
     if (snapshot.ok()) {
-      ASSERT_EQ(snapshot.value(), blocking.value()) << "window=" << w;
+      ASSERT_EQ(snapshot.value().estimate, blocking.value().estimate)
+          << "window=" << w;
     }
   }
   EXPECT_EQ(window.driver().tuples_processed(), 16000u);

@@ -13,12 +13,15 @@
 //     (1 - delta) * trials of a randomized estimator land within tolerance,
 //     which is exactly the guarantee the paper's theorems give.
 //   - SweepCounter: miss accounting for cutoff-ladder accuracy sweeps.
+//   - SerialFold: the serial slot-order merge, the reference the
+//     production merge tree (src/driver/merge_cache.h) is compared against.
 #ifndef CASTREAM_TESTS_TEST_UTIL_H_
 #define CASTREAM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +29,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/result.h"
+#include "src/common/status.h"
 #include "src/sketch/exact.h"
 
 namespace castream {
@@ -201,6 +206,21 @@ class SweepCounter {
   int checked_ = 0;
   int misses_ = 0;
 };
+
+// The serial slot-order fold: a fresh summary from `make_empty`, merged with
+// every published (non-null) snapshot in slot order. Answer-equivalent, not
+// bit-identical, to the production merge tree, which folds in tree order.
+template <typename Summary, typename MakeEmpty>
+Result<Summary> SerialFold(
+    const std::vector<std::shared_ptr<const Summary>>& snaps,
+    MakeEmpty make_empty) {
+  Summary merged = make_empty();
+  for (const auto& snap : snaps) {
+    if (snap == nullptr) continue;
+    CASTREAM_RETURN_NOT_OK(merged.MergeFrom(*snap));
+  }
+  return merged;
+}
 
 }  // namespace test
 }  // namespace castream
