@@ -26,8 +26,6 @@ CorrelatedChhOptions ToChhOptions(const SummaryOptions& o) {
   CorrelatedChhOptions opts;
   opts.phi_eps = o.phi_eps;
   opts.y_eps = o.chh_y_eps;
-  opts.x_capacity_override = o.chh_x_capacity;
-  opts.y_capacity_override = o.chh_y_capacity;
   return opts;
 }
 

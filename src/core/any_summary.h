@@ -84,10 +84,6 @@ struct SummaryOptions {
   uint32_t max_candidates = 64;
   /// Per-entry y-stage share resolution (kinds chh_mg, chh_fast).
   double chh_y_eps = 0.05;
-  /// Nonzero: exact primary / y-stage table capacities for the dedicated
-  /// CHH kinds, overriding the eps-derived sizes (see CorrelatedChhOptions).
-  uint32_t chh_x_capacity = 0;
-  uint32_t chh_y_capacity = 0;
 };
 
 /// \brief Move-only type-erased holder of any registered summary.

@@ -1,6 +1,7 @@
 #include "src/service/publisher.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "src/io/decoder.h"
@@ -23,16 +24,15 @@ std::chrono::milliseconds JitteredBackoff(std::chrono::milliseconds base,
                                           double jitter, Xoshiro256& rng) {
   const double j = std::clamp(jitter, 0.0, 1.0);
   const double factor = 1.0 - j * rng.NextDouble();  // uniform (1-j, 1]
+  // Rounding up keeps the whole-millisecond result inside (base*(1-j), base].
   return std::chrono::milliseconds(static_cast<int64_t>(
-      static_cast<double>(base.count()) * factor));
+      std::ceil(static_cast<double>(base.count()) * factor)));
 }
 
 ShardPublisher::ShardPublisher(const PublisherOptions& options)
     : options_(options),
       session_(WallClockNanos()),
-      backoff_rng_(options.backoff_jitter_seed != 0
-                       ? options.backoff_jitter_seed
-                       : session_) {}
+      backoff_rng_(session_) {}
 
 void ShardPublisher::Disconnect() {
   socket_.Close();
@@ -51,7 +51,7 @@ Status ShardPublisher::EnsureConnected() {
   for (int attempt = 0; attempt < options_.connect_attempts; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(
-          JitteredBackoff(backoff, options_.backoff_jitter, backoff_rng_));
+          JitteredBackoff(backoff, kBackoffJitter, backoff_rng_));
       backoff = std::min(backoff * 2, options_.max_backoff);
     }
     auto connected = net::TcpConnect(options_.host, options_.port);
@@ -94,6 +94,9 @@ Status ShardPublisher::Publish(uint32_t shard, uint64_t epoch,
     header.session = session_;
     header.epoch = epoch;
     Status transport = net::WriteFrame(socket_, header, blob);
+    // WriteFrame's only InvalidArgument is the frame-cap refusal, which
+    // wrote nothing: the connection is still in sync, so keep it.
+    if (transport.code() == Status::Code::kInvalidArgument) return transport;
     net::AckCode code = net::AckCode::kRejected;
     uint64_t stored_epoch = 0;
     if (transport.ok()) {

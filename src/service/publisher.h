@@ -45,24 +45,22 @@ struct PublisherOptions {
   /// Bound on waiting for a publish ack; a wedged reducer fails the
   /// publish (Unavailable) instead of wedging the worker.
   std::chrono::milliseconds ack_timeout{10000};
-  /// Random jitter on the reconnect backoff: each sleep is scaled by a
-  /// uniform factor in [1 - backoff_jitter, 1]. A reducer restart
-  /// disconnects its whole fan-in at the same instant; without jitter
-  /// every publisher's doubling schedule stays phase-locked and the
-  /// reconnect attempts arrive as synchronized bursts. Must be in [0, 1];
-  /// 0 restores the deterministic schedule. The exponential envelope
-  /// (doubling from initial_backoff, capped at max_backoff) is unchanged —
-  /// jitter only ever shortens a sleep.
-  double backoff_jitter = 0.25;
-  /// Seed for the jitter draw. 0 (the default) derives the seed from the
-  /// publisher's session tag, so a fleet of workers started together still
-  /// decorrelates; tests pass a fixed nonzero seed to pin the schedule.
-  uint64_t backoff_jitter_seed = 0;
 };
 
+/// \brief Random jitter on the reconnect backoff: each sleep is scaled by a
+/// uniform factor in (1 - kBackoffJitter, 1], drawn from an rng seeded by
+/// the publisher's session tag. A reducer restart disconnects its whole
+/// fan-in at the same instant; without jitter every publisher's doubling
+/// schedule stays phase-locked and the reconnect attempts arrive as
+/// synchronized bursts, and distinct session tags decorrelate a fleet of
+/// workers started together. The exponential envelope (doubling from
+/// initial_backoff, capped at max_backoff) is unchanged — jitter only ever
+/// shortens a sleep.
+inline constexpr double kBackoffJitter = 0.25;
+
 /// \brief One jittered backoff step: `base` scaled by a uniform factor in
-/// [1 - jitter, 1] drawn from `rng` (jitter clamped to [0, 1]). Pure but
-/// for the rng state — tests pin the whole schedule with a fixed seed.
+/// (1 - jitter, 1] drawn from `rng` (jitter clamped to [0, 1]). Pure but
+/// for the rng state, so a fixed seed repeats the whole schedule.
 std::chrono::milliseconds JitteredBackoff(std::chrono::milliseconds base,
                                           double jitter, Xoshiro256& rng);
 

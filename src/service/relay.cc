@@ -24,8 +24,7 @@ Status ParseNodeId(std::string_view text, uint32_t* id) {
 
 }  // namespace
 
-Result<TopologyConfig> TopologyConfig::Parse(std::string_view spec,
-                                             size_t max_fan_in) {
+Result<TopologyConfig> TopologyConfig::Parse(std::string_view spec) {
   TopologyConfig topo;
   if (spec.empty()) {
     return Status::InvalidArgument("topology: empty spec");
@@ -93,11 +92,11 @@ Result<TopologyConfig> TopologyConfig::Parse(std::string_view spec,
     }
   }
   for (const auto& [parent, children] : topo.children_of_) {
-    if (children.size() > max_fan_in) {
+    if (children.size() > kMaxFanIn) {
       return Status::InvalidArgument(
           "topology: node " + std::to_string(parent) + " has " +
           std::to_string(children.size()) + " children, over the fan-in "
-          "cap of " + std::to_string(max_fan_in));
+          "cap of " + std::to_string(kMaxFanIn));
     }
   }
   return topo;
@@ -151,7 +150,8 @@ void RelayNode::Loop() {
     // publisher's acked map makes an unchanged offer a cheap no-op, and
     // after a parent restart the dead-peer probe turns the same call into
     // reconnect-and-republish — the recovery path. Transport failures are
-    // retried next tick; the table is never lost.
+    // retried next tick; the table is never lost. A refusal is counted
+    // inside OfferUpstream and not retried until the table changes.
     (void)OfferUpstream(/*force=*/false);
   }
 }
@@ -183,7 +183,15 @@ Status RelayNode::OfferUpstream(bool force) {
   // absent slot, not a fresh-summary blob claiming epoch 1.
   if (payload_.empty()) return Status::OK();
   const uint64_t seq = pub_seq_.load(std::memory_order_relaxed);
-  CASTREAM_RETURN_NOT_OK(publisher_.Publish(/*shard=*/0, seq, payload_));
+  // The parent refuses the same bytes again: wait for a new payload.
+  if (seq == refused_seq_) return refusal_;
+  Status st = publisher_.Publish(/*shard=*/0, seq, payload_);
+  if (st.code() == Status::Code::kPreconditionFailed) {
+    refused_seq_ = seq;
+    refusal_ = st;
+    upstream_refusals_.fetch_add(1, std::memory_order_relaxed);
+  }
+  CASTREAM_RETURN_NOT_OK(st);
   if (acked_seq_ != seq) {
     acked_seq_ = seq;
     republishes_.fetch_add(1, std::memory_order_relaxed);
@@ -200,11 +208,12 @@ Status RelayNode::Shutdown() {
   loop_stop_.store(true, std::memory_order_relaxed);
   if (loop_thread_.joinable()) loop_thread_.join();
   Status st = Status::OK();
-  for (int round = 0; round < options_.flush_rounds; ++round) {
+  for (int round = 0; round < kFlushRounds; ++round) {
     st = OfferUpstream(/*force=*/true);
-    if (st.ok()) break;
     // Unavailable: the parent may itself be mid-restart. Publish already
     // slept through its jittered backoff curve; just take another pass.
+    // Any other error (a refusal) cannot change by retrying.
+    if (st.code() != Status::Code::kUnavailable) break;
   }
   final_flush_ = st;
   return final_flush_;

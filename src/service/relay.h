@@ -65,14 +65,16 @@ namespace castream::service {
 /// are the frame-level worker ids, shared across tiers — leaves are
 /// workers, internal nodes are relays, the unique sink is the root.
 /// Parse() rejects anything that is not a single-rooted tree: duplicate
-/// parents, cycles, forests, and fan-in beyond `max_fan_in`.
+/// parents, cycles, forests, and fan-in beyond kMaxFanIn.
 class TopologyConfig {
  public:
-  /// \brief Parses and validates the edge spec. `max_fan_in` caps the
-  /// children of any single node (a relay's accept capacity is the bound
-  /// the tree exists to respect; exceeding it at one node defeats it).
-  static Result<TopologyConfig> Parse(std::string_view spec,
-                                      size_t max_fan_in = 64);
+  /// \brief Cap on the children of any single node (a relay's accept
+  /// capacity is the bound the tree exists to respect; exceeding it at one
+  /// node defeats it).
+  static constexpr size_t kMaxFanIn = 64;
+
+  /// \brief Parses and validates the edge spec.
+  static Result<TopologyConfig> Parse(std::string_view spec);
 
   uint32_t root() const { return root_; }
 
@@ -115,9 +117,6 @@ struct RelayOptions {
   /// however fast downstream publishes land. 0 republishes on every
   /// changed poll tick.
   std::chrono::milliseconds min_republish_interval{0};
-  /// Publish passes the final drain flush may take before giving up
-  /// (each pass itself retries with the publisher's jittered backoff).
-  int flush_rounds = 16;
 };
 
 /// \brief One mid-tier node of a reducer tree: an embedded SnapshotReducer
@@ -142,15 +141,25 @@ class RelayNode {
   /// \brief Graceful drain, in dependency order: the reducer drains its
   /// downstream connections (so every in-flight child publish lands), the
   /// republish loop stops, then the final merged table is flushed upstream
-  /// with up to `flush_rounds` passes. Returns the flush outcome — the
-  /// post-condition "the parent holds everything this subtree ever
-  /// accepted" — and OK for a relay whose table stayed empty (nothing was
-  /// ever published, nothing is owed). Idempotent.
+  /// with up to kFlushRounds passes while the parent is unavailable.
+  /// Returns the flush outcome — the post-condition "the parent holds
+  /// everything this subtree ever accepted" — and OK for a relay whose
+  /// table stayed empty (nothing was ever published, nothing is owed).
+  /// A table the parent refused is not re-sent: its refusal is the
+  /// outcome. Idempotent.
   Status Shutdown();
+
+  /// Publish passes the final drain flush may take before giving up (each
+  /// pass itself retries with the publisher's jittered backoff).
+  static constexpr int kFlushRounds = 16;
 
   // Observability.
   uint64_t republishes() const { return republishes_.load(); }
   uint64_t pub_seq() const { return pub_seq_.load(); }
+  /// Payloads the parent refused with PreconditionFailed (a configuration
+  /// mismatch). Each is offered once; the relay waits for its table to
+  /// change before offering again.
+  uint64_t upstream_refusals() const { return upstream_refusals_.load(); }
 
  private:
   RelayNode(const RelayOptions& options,
@@ -175,9 +184,12 @@ class RelayNode {
   std::string payload_;
   uint64_t published_version_ = 0;
   uint64_t acked_seq_ = 0;  // last pub_seq the parent acked (republish count)
+  uint64_t refused_seq_ = 0;  // last pub_seq the parent refused
+  Status refusal_;            // ... and the refusal it returned
   std::chrono::steady_clock::time_point last_build_{};
   std::atomic<uint64_t> pub_seq_{0};
   std::atomic<uint64_t> republishes_{0};
+  std::atomic<uint64_t> upstream_refusals_{0};
 };
 
 }  // namespace castream::service

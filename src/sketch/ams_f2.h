@@ -1,4 +1,5 @@
-// AMS second frequency moment sketch, Thorup-Zhang fast variant.
+// AMS second frequency moment sketch, Thorup-Zhang fast variant; also the
+// CountSketch of the F2 heavy hitters.
 //
 // The classic Alon-Matias-Szegedy estimator [1] keeps w counters per row,
 // each item hashed to one counter with a 4-wise independent sign; the row
@@ -8,9 +9,19 @@
 // O(depth). This is exactly the variant the paper uses in its F2 experiments
 // (Section 5.1).
 //
+// With single-counter rows the AMS sketch and CountSketch (Charikar, Chen
+// and Farach-Colton [8]) are one data structure: a signed counter per row,
+// merged by adding counters. Estimate() reads it as AMS (median over rows
+// of the row sum of squares); EstimateFrequency(x) reads it as CountSketch
+// (median over rows of sign * counter, additive error ~sqrt(F2/width)).
+// Section 3.3's heavy hitters keep one of each role per bucket, built from
+// the two factories below, which differ only in dimensioning and in one
+// wire field (see CountSketchFactory in count_sketch.h).
+//
 // The sketch is linear in the input, so it supports negative weights
 // (turnstile updates, Section 4) and merging by counter addition (property
-// (b) of sketching functions, Section 2).
+// (b) of sketching functions, Section 2). All counter arithmetic wraps mod
+// 2^64 (counter_matrix.h), so hostile decoded counters cannot overflow.
 //
 // Lazy densification: a new sketch stores exact (item, weight) entries until
 // their count exceeds ~width*depth/8 and only then materializes the counter
@@ -18,7 +29,7 @@
 // sketches whose buckets close at mass 2^(l+1) — at low levels they hold a
 // handful of items, and the sparse mode keeps them at a few entries instead
 // of a full counter matrix (the same technique production sketch libraries
-// use). While sparse, Estimate() is exact.
+// use). While sparse, both estimators are exact.
 #ifndef CASTREAM_SKETCH_AMS_F2_H_
 #define CASTREAM_SKETCH_AMS_F2_H_
 
@@ -43,29 +54,19 @@ namespace castream {
 
 class AmsF2Sketch;
 
-/// \brief Factory producing mergeable AmsF2Sketch instances that share one
-/// immutable set of hash functions.
+/// \brief The hash family shared by every factory of signed-counter
+/// sketches: one immutable RowHashSet, its pre-hash entry points and its
+/// wire identity. `Derived` is the concrete factory (AmsF2SketchFactory or
+/// CountSketchFactory), which DecodeFamily returns.
 ///
-/// Sketches from different factories (different seeds or dimensions) must
+/// Sketches from different families (different seeds or dimensions) must
 /// not be merged; AmsF2Sketch::MergeFrom reports PreconditionFailed in that
 /// case. Sharing the hash set keeps the marginal cost of a sketch equal to
 /// its counter storage, which matters because the correlated framework
 /// instantiates thousands of per-bucket sketches.
-class AmsF2SketchFactory {
+template <typename Derived>
+class SignedCounterFamily {
  public:
-  /// CorrelatedSketch<AmsF2SketchFactory> is the registered durable
-  /// "correlated F2" summary; these constants give the generic
-  /// Serialize/Deserialize its envelope tag and version (src/io/format.h).
-  static constexpr SummaryKind kSummaryKind = SummaryKind::kCorrelatedF2;
-  static constexpr uint32_t kFormatVersion = io::kCorrelatedF2Version;
-
-  AmsF2SketchFactory(SketchDims dims, uint64_t seed)
-      : hashes_(std::make_shared<RowHashSet>(seed, dims.depth, dims.width)) {}
-
-  /// \brief Convenience: dimensions derived from an accuracy target.
-  AmsF2SketchFactory(double eps, double delta, uint64_t seed)
-      : AmsF2SketchFactory(AmsDimsFor(eps, delta), seed) {}
-
   /// \brief New empty sketch of this family (starts in sparse mode).
   AmsF2Sketch Create() const;
 
@@ -108,32 +109,60 @@ class AmsF2SketchFactory {
     enc.PutU32(width());
   }
 
-  static Result<AmsF2SketchFactory> DecodeFamily(io::Decoder& dec) {
+  static Result<Derived> DecodeFamily(io::Decoder& dec) {
     uint64_t seed = 0;
     uint32_t depth = 0, width = 0;
     CASTREAM_RETURN_NOT_OK(dec.ReadU64(&seed));
     CASTREAM_RETURN_NOT_OK(dec.ReadU32(&depth));
     CASTREAM_RETURN_NOT_OK(dec.ReadU32(&width));
     CASTREAM_RETURN_NOT_OK(ValidateSketchDims(depth, width));
-    return AmsF2SketchFactory(SketchDims{depth, width}, seed);
+    return Derived(SketchDims{depth, width}, seed);
   }
 
-  void EncodeSketch(io::Encoder& enc, const AmsF2Sketch& sketch) const;
-  [[nodiscard]] Result<AmsF2Sketch> DecodeSketch(io::Decoder& dec) const;
+ protected:
+  SignedCounterFamily(SketchDims dims, uint64_t seed)
+      : hashes_(std::make_shared<RowHashSet>(seed, dims.depth, dims.width)) {}
 
- private:
-  friend class AmsF2Sketch;
+  // The one cell codec both factories wrap: the sparse entries or the dense
+  // counter matrix. A decoded sketch starts with NetCount() == `net_count`.
+  static void EncodeCells(io::Encoder& enc, const AmsF2Sketch& sketch);
+  [[nodiscard]] Result<AmsF2Sketch> DecodeCells(io::Decoder& dec,
+                                                int64_t net_count) const;
+
   std::shared_ptr<const RowHashSet> hashes_;
 };
 
-/// \brief Mergeable (eps, delta) estimator of F2 = sum_i f_i^2 over item
-/// frequencies f_i, supporting integer-weighted (including negative) updates.
+/// \brief Factory of F2 sketches. Its blobs carry the net count before the
+/// cells.
+class AmsF2SketchFactory : public SignedCounterFamily<AmsF2SketchFactory> {
+ public:
+  /// CorrelatedSketch<AmsF2SketchFactory> is the registered durable
+  /// "correlated F2" summary; these constants give the generic
+  /// Serialize/Deserialize its envelope tag and version (src/io/format.h).
+  static constexpr SummaryKind kSummaryKind = SummaryKind::kCorrelatedF2;
+  static constexpr uint32_t kFormatVersion = io::kCorrelatedF2Version;
+
+  AmsF2SketchFactory(SketchDims dims, uint64_t seed)
+      : SignedCounterFamily(dims, seed) {}
+
+  /// \brief Convenience: dimensions derived from an accuracy target.
+  AmsF2SketchFactory(double eps, double delta, uint64_t seed)
+      : AmsF2SketchFactory(AmsDimsFor(eps, delta), seed) {}
+
+  void EncodeSketch(io::Encoder& enc, const AmsF2Sketch& sketch) const;
+  [[nodiscard]] Result<AmsF2Sketch> DecodeSketch(io::Decoder& dec) const;
+};
+
+/// \brief Mergeable signed-counter sketch over item frequencies f_i,
+/// supporting integer-weighted (including negative) updates. As AMS it is
+/// an (eps, delta) estimator of F2 = sum_i f_i^2; as CountSketch it answers
+/// point queries f_x with additive error ~sqrt(F2/width).
 class AmsF2Sketch {
  public:
   /// \brief Adds `weight` to item x's frequency. O(depth) dense; O(entries)
   /// sparse (entries are few and contiguous by construction).
   void Insert(uint64_t x, int64_t weight) {
-    count_ += weight;
+    count_ = WrapAdd(count_, weight);
     if (!counters_.has_value()) {
       InsertSparse(x, nullptr, weight);
       return;
@@ -147,7 +176,7 @@ class AmsF2Sketch {
   /// sparse path stores `ph` alongside the entry so densification never
   /// re-hashes either.
   void Insert(const RowHashSet::PreHashed& ph, int64_t weight = 1) {
-    count_ += weight;
+    count_ = WrapAdd(count_, weight);
     if (!counters_.has_value()) {
       InsertSparse(ph.x, &ph, weight);
       return;
@@ -172,14 +201,29 @@ class AmsF2Sketch {
   /// \brief Median-of-rows estimate of F2 (exact while sparse). O(depth).
   double Estimate() const {
     if (!counters_.has_value()) return static_cast<double>(sparse_ss_);
-    const uint32_t d = counters_->depth();
-    if (d == 1) return static_cast<double>(row_ss_[0]);
+    if (row_ss_.size() == 1) return static_cast<double>(row_ss_[0]);
     scratch_.assign(row_ss_.begin(), row_ss_.end());
-    const size_t mid = scratch_.size() / 2;
-    std::nth_element(scratch_.begin(), scratch_.begin() + mid, scratch_.end());
-    if (scratch_.size() % 2 == 1) return static_cast<double>(scratch_[mid]);
-    int64_t lo = *std::max_element(scratch_.begin(), scratch_.begin() + mid);
-    return 0.5 * (static_cast<double>(lo) + static_cast<double>(scratch_[mid]));
+    return MedianOfScratch();
+  }
+
+  /// \brief CountSketch estimate of item x's frequency: the median over
+  /// rows of sign * counter (exact while sparse). O(depth) hash
+  /// evaluations.
+  double EstimateFrequency(uint64_t x) const {
+    if (!counters_.has_value()) {
+      for (const SparseEntry& e : sparse_) {
+        if (e.ph.x == x) return static_cast<double>(e.w);
+      }
+      return 0.0;
+    }
+    const RowHashSet& h = *hashes_;
+    scratch_.clear();
+    for (uint32_t d = 0; d < h.depth(); ++d) {
+      const RowHasher& row = h.row(d);
+      scratch_.push_back(
+          WrapMul(row.Sign(x), counters_->at(d, row.Bucket(x))));
+    }
+    return MedianOfScratch();
   }
 
   /// \brief Cheap certain upper bound on Estimate(): the maximum per-row sum
@@ -216,20 +260,19 @@ class AmsF2Sketch {
           InsertSparse(e.ph.x, &e.ph, e.w);
         }
       }
-      count_ += other.count_;
+      count_ = WrapAdd(count_, other.count_);
       return Status::OK();
     }
     if (!counters_.has_value()) Densify();
     counters_->AddFrom(other.counters_.value());
-    for (uint32_t d = 0; d < counters_->depth(); ++d) {
-      row_ss_[d] = counters_->RowSumSquares(d);
-    }
-    count_ += other.count_;
+    RecomputeRowSums();
+    count_ = WrapAdd(count_, other.count_);
     return Status::OK();
   }
 
   /// \brief Net weight inserted (F1 of the signed stream); used by callers
-  /// that track bucket occupancy.
+  /// that track bucket occupancy. A sketch decoded by CountSketchFactory
+  /// starts from 0 here: that wire format does not carry it.
   int64_t NetCount() const { return count_; }
 
   /// \brief True while the sketch stores exact entries (testing hook).
@@ -249,7 +292,8 @@ class AmsF2Sketch {
   }
 
  private:
-  friend class AmsF2SketchFactory;
+  template <typename>
+  friend class SignedCounterFamily;
   // `ph.x` is the item; `ph` is populated lazily (only inserts that came in
   // pre-hashed carry rows), so densification re-hashes at most the entries
   // that were never pre-hashed. Deliberate trade-off: carrying the rows
@@ -283,8 +327,8 @@ class AmsF2Sketch {
       SparseEntry& e = sparse_[i];
       if (e.ph.x == x) {
         // (w+d)^2 - w^2 maintains the exact sum of squares incrementally.
-        sparse_ss_ += 2 * e.w * weight + weight * weight;
-        e.w += weight;
+        sparse_ss_ = WrapAdd(sparse_ss_, SquareGrowth(e.w, weight));
+        e.w = WrapAdd(e.w, weight);
         if (ph != nullptr && !e.ph.Computed()) e.ph = *ph;
         // Transpose heuristic: hot items drift toward the front, keeping
         // the linear scan short on skewed streams.
@@ -300,7 +344,7 @@ class AmsF2Sketch {
     }
     entry.w = weight;
     sparse_.push_back(entry);
-    sparse_ss_ += weight * weight;
+    sparse_ss_ = WrapAdd(sparse_ss_, WrapMul(weight, weight));
     if (sparse_.size() > SparseCapacity()) Densify();
   }
 
@@ -308,12 +352,7 @@ class AmsF2Sketch {
     const RowHashSet& h = *hashes_;
     for (uint32_t d = 0; d < h.depth(); ++d) {
       const RowHasher& row = h.row(d);
-      const int64_t delta = row.Sign(x) * weight;
-      const int64_t old = counters_->AddAndReturnOld(d, row.Bucket(x), delta);
-      // (c+delta)^2 - c^2 = 2*c*delta + delta^2, so the row sum of squares
-      // can be maintained in O(1) — this is what makes Estimate() cheap
-      // enough for the per-insert bucket-closing test in Algorithm 2.
-      row_ss_[d] += 2 * old * delta + delta * delta;
+      AddToRow(d, row.Bucket(x), WrapMul(row.Sign(x), weight));
     }
   }
 
@@ -333,9 +372,21 @@ class AmsF2Sketch {
         sign = row.Sign(ph.x);
         bucket = row.Bucket(ph.x);
       }
-      const int64_t delta = sign * weight;
-      const int64_t old = counters_->AddAndReturnOld(d, bucket, delta);
-      row_ss_[d] += 2 * old * delta + delta * delta;
+      AddToRow(d, bucket, WrapMul(sign, weight));
+    }
+  }
+
+  void AddToRow(uint32_t d, uint32_t bucket, int64_t delta) {
+    const int64_t old = counters_->AddAndReturnOld(d, bucket, delta);
+    // The row sum of squares is maintained in O(1) per update — this is
+    // what makes Estimate() cheap enough for the per-insert bucket-closing
+    // test in Algorithm 2.
+    row_ss_[d] = WrapAdd(row_ss_[d], SquareGrowth(old, delta));
+  }
+
+  void RecomputeRowSums() {
+    for (uint32_t d = 0; d < counters_->depth(); ++d) {
+      row_ss_[d] = counters_->RowSumSquares(d);
     }
   }
 
@@ -351,16 +402,24 @@ class AmsF2Sketch {
     sparse_ss_ = 0;
   }
 
-  // ---- Wire format (called through the factory's Encode/DecodeSketch) ------
+  // Median of scratch_; the even-depth midpoint is taken in double.
+  double MedianOfScratch() const {
+    const size_t mid = scratch_.size() / 2;
+    std::nth_element(scratch_.begin(), scratch_.begin() + mid, scratch_.end());
+    if (scratch_.size() % 2 == 1) return static_cast<double>(scratch_[mid]);
+    int64_t lo = *std::max_element(scratch_.begin(), scratch_.begin() + mid);
+    return 0.5 * (static_cast<double>(lo) + static_cast<double>(scratch_[mid]));
+  }
+
+  // ---- Cell codec (called through the factories' Encode/DecodeSketch) -----
   // Only integer stream state goes on the wire: sparse entries as (x, weight)
   // pairs — the per-row pre-hash is recomputed from the family, which is
   // deterministic, so replayed densification stays bit-identical — and dense
   // mode as the raw counter cells. sparse_ss_ / row_ss_ are derived and
-  // recomputed on decode (their incremental maintenance is exact integer
+  // recomputed on decode (their incremental maintenance is wrapping integer
   // arithmetic, so recomputation reproduces them bit-for-bit).
 
-  void EncodeTo(io::Encoder& enc) const {
-    enc.PutI64(count_);
+  void EncodeCells(io::Encoder& enc) const {
     if (!counters_.has_value()) {
       enc.PutU8(0);
       enc.PutU32(static_cast<uint32_t>(sparse_.size()));
@@ -382,8 +441,7 @@ class AmsF2Sketch {
     }
   }
 
-  [[nodiscard]] Status DecodeFrom(io::Decoder& dec) {
-    CASTREAM_RETURN_NOT_OK(dec.ReadI64(&count_));
+  [[nodiscard]] Status DecodeCells(io::Decoder& dec) {
     uint8_t mode = 0;
     CASTREAM_RETURN_NOT_OK(dec.ReadU8(&mode));
     if (mode == 0) {
@@ -393,32 +451,27 @@ class AmsF2Sketch {
         return Status::InvalidArgument(
             "decode: sparse entry count exceeds this family's capacity");
       }
-      sparse_.clear();
       sparse_.reserve(n);
-      sparse_ss_ = 0;
       for (uint32_t i = 0; i < n; ++i) {
         SparseEntry e;
         CASTREAM_RETURN_NOT_OK(dec.ReadU64(&e.ph.x));
         CASTREAM_RETURN_NOT_OK(dec.ReadI64(&e.w));
         // Entries are unique by item: the encoder aggregates weights per x,
         // so duplicates prove corruption (and would skew the exact sparse
-        // F2, which assumes one aggregated weight per item).
+        // estimators, which assume one aggregated weight per item).
         for (const SparseEntry& seen : sparse_) {
           if (seen.ph.x == e.ph.x) {
             return Status::InvalidArgument(
                 "decode: duplicate item in sparse sketch entries");
           }
         }
-        // Unsigned multiply: defined even for adversarial weights (the
-        // incremental arithmetic it mirrors wraps identically in practice).
-        sparse_ss_ += static_cast<int64_t>(static_cast<uint64_t>(e.w) *
-                                           static_cast<uint64_t>(e.w));
+        sparse_ss_ = WrapAdd(sparse_ss_, WrapMul(e.w, e.w));
         sparse_.push_back(e);
       }
       return Status::OK();
     }
     if (mode != 1) {
-      return Status::InvalidArgument("decode: bad AMS sketch mode byte");
+      return Status::InvalidArgument("decode: bad sketch mode byte");
     }
     uint32_t d = 0, w = 0;
     CASTREAM_RETURN_NOT_OK(dec.ReadU32(&d));
@@ -434,18 +487,14 @@ class AmsF2Sketch {
     }
     counters_.emplace(d, w);
     row_ss_.assign(d, 0);
-    sparse_.clear();
-    sparse_ss_ = 0;
     for (uint32_t row = 0; row < d; ++row) {
-      uint64_t ss = 0;  // unsigned: no UB on adversarial counter values
       for (uint32_t col = 0; col < w; ++col) {
         int64_t v = 0;
         CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
         counters_->AddAndReturnOld(row, col, v);
-        ss += static_cast<uint64_t>(v) * static_cast<uint64_t>(v);
       }
-      row_ss_[row] = static_cast<int64_t>(ss);
     }
+    RecomputeRowSums();
     return Status::OK();
   }
 
@@ -455,23 +504,42 @@ class AmsF2Sketch {
   std::vector<SparseEntry> sparse_;        // sparse mode: exact entries
   int64_t sparse_ss_ = 0;                  // sparse mode: exact F2
   int64_t count_ = 0;
+  // Per-row values for the median: row sums of squares (Estimate) or
+  // sign * counter (EstimateFrequency).
   mutable std::vector<int64_t> scratch_;
 };
 
-inline AmsF2Sketch AmsF2SketchFactory::Create() const {
+template <typename Derived>
+AmsF2Sketch SignedCounterFamily<Derived>::Create() const {
   return AmsF2Sketch(hashes_);
+}
+
+template <typename Derived>
+void SignedCounterFamily<Derived>::EncodeCells(io::Encoder& enc,
+                                               const AmsF2Sketch& sketch) {
+  sketch.EncodeCells(enc);
+}
+
+template <typename Derived>
+Result<AmsF2Sketch> SignedCounterFamily<Derived>::DecodeCells(
+    io::Decoder& dec, int64_t net_count) const {
+  AmsF2Sketch sketch = Create();
+  sketch.count_ = net_count;
+  CASTREAM_RETURN_NOT_OK(sketch.DecodeCells(dec));
+  return sketch;
 }
 
 inline void AmsF2SketchFactory::EncodeSketch(io::Encoder& enc,
                                              const AmsF2Sketch& sketch) const {
-  sketch.EncodeTo(enc);
+  enc.PutI64(sketch.NetCount());
+  EncodeCells(enc, sketch);
 }
 
 inline Result<AmsF2Sketch> AmsF2SketchFactory::DecodeSketch(
     io::Decoder& dec) const {
-  AmsF2Sketch sketch = Create();
-  CASTREAM_RETURN_NOT_OK(sketch.DecodeFrom(dec));
-  return sketch;
+  int64_t net_count = 0;
+  CASTREAM_RETURN_NOT_OK(dec.ReadI64(&net_count));
+  return DecodeCells(dec, net_count);
 }
 
 }  // namespace castream

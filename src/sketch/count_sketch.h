@@ -1,386 +1,46 @@
 // CountSketch (Charikar-Chen-Farach-Colton [8]): per-item frequency
 // estimation with additive error ~sqrt(F2/width). Used by the correlated
 // F2-heavy-hitters structure of Section 3.3, where every dyadic bucket
-// carries a CountSketch alongside its AMS sketch.
+// carries a CountSketch alongside its AMS sketch, and by FkSketch.
 //
-// Like AmsF2Sketch, a new CountSketch stores exact (item, weight) entries
-// ("sparse mode") until their count exceeds ~width*depth/8 (capped), then
-// materializes the counter matrix. Low-level dyadic buckets close after a
-// handful of items, so sparse mode keeps the thousands of per-bucket
-// sketches small — and exact.
+// With single-counter rows a CountSketch is the same data structure as the
+// AMS sketch, so the type is AmsF2Sketch (ams_f2.h): its
+// EstimateFrequency(x) is the CountSketch point query, and its Estimate()
+// gives the F2 noise scale of those answers. What this header adds is the
+// factory: CountSketch dimensioning, and a wire format without the AMS net
+// count.
 #ifndef CASTREAM_SKETCH_COUNT_SKETCH_H_
 #define CASTREAM_SKETCH_COUNT_SKETCH_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "src/common/bit_util.h"
 #include "src/common/result.h"
-#include "src/common/status.h"
-#include "src/hash/row_hasher.h"
 #include "src/io/decoder.h"
 #include "src/io/encoder.h"
-#include "src/sketch/counter_matrix.h"
+#include "src/sketch/ams_f2.h"
 #include "src/sketch/sketch_params.h"
 
 namespace castream {
 
-class CountSketch;
+using CountSketch = AmsF2Sketch;
 
-/// \brief Factory producing mergeable CountSketch instances sharing one hash
-/// set (see AmsF2SketchFactory for the rationale).
-class CountSketchFactory {
+/// \brief Factory of CountSketches. Its blobs (inside every 'hh' blob) hold
+/// the cells alone, so a sketch it decodes reports NetCount() == 0.
+class CountSketchFactory : public SignedCounterFamily<CountSketchFactory> {
  public:
   CountSketchFactory(SketchDims dims, uint64_t seed)
-      : hashes_(std::make_shared<RowHashSet>(seed, dims.depth, dims.width)) {}
+      : SignedCounterFamily(dims, seed) {}
 
   CountSketchFactory(double eps, double delta, uint64_t seed)
       : CountSketchFactory(CountSketchDimsFor(eps, delta), seed) {}
 
-  CountSketch Create() const;
-
-  /// \brief Computes x's per-row randomness once; the result feeds the
-  /// Insert(PreHashed) overload of every sketch in this family.
-  RowHashSet::PreHashed Prehash(uint64_t x) const {
-    return hashes_->Prehash(x);
+  void EncodeSketch(io::Encoder& enc, const CountSketch& sketch) const {
+    EncodeCells(enc, sketch);
   }
-  void Prehash(uint64_t x, RowHashSet::PreHashed& out) const {
-    hashes_->Prehash(x, out);
+  [[nodiscard]] Result<CountSketch> DecodeSketch(io::Decoder& dec) const {
+    return DecodeCells(dec, /*net_count=*/0);
   }
-
-  /// \brief Bulk pre-hash (see RowHashSet::PreHashBatch).
-  void PrehashBatch(std::span<const uint64_t> xs,
-                    RowHashSet::PreHashed* out) const {
-    hashes_->PreHashBatch(xs, out);
-  }
-
-  /// \brief Accessor-form bulk pre-hash for strided outputs (see
-  /// RowHashSet::PreHashBatchTo).
-  template <typename OutAt>
-  void PrehashBatchTo(std::span<const uint64_t> xs, OutAt at) const {
-    hashes_->PreHashBatchTo(xs.data(), xs.size(), at);
-  }
-
-  uint32_t depth() const { return hashes_->depth(); }
-  uint32_t width() const { return hashes_->width(); }
-  uint64_t seed() const { return hashes_->seed(); }
-
-  // ---- Wire format (src/io; same scheme as AmsF2SketchFactory) -------------
-
-  void EncodeFamily(io::Encoder& enc) const {
-    enc.PutU64(seed());
-    enc.PutU32(depth());
-    enc.PutU32(width());
-  }
-
-  static Result<CountSketchFactory> DecodeFamily(io::Decoder& dec) {
-    uint64_t seed = 0;
-    uint32_t depth = 0, width = 0;
-    CASTREAM_RETURN_NOT_OK(dec.ReadU64(&seed));
-    CASTREAM_RETURN_NOT_OK(dec.ReadU32(&depth));
-    CASTREAM_RETURN_NOT_OK(dec.ReadU32(&width));
-    CASTREAM_RETURN_NOT_OK(ValidateSketchDims(depth, width));
-    return CountSketchFactory(SketchDims{depth, width}, seed);
-  }
-
-  void EncodeSketch(io::Encoder& enc, const CountSketch& sketch) const;
-  [[nodiscard]] Result<CountSketch> DecodeSketch(io::Decoder& dec) const;
-
- private:
-  friend class CountSketch;
-  std::shared_ptr<const RowHashSet> hashes_;
 };
-
-/// \brief Linear sketch answering point queries f_x with additive error
-/// sqrt(F2/width) per row, median over rows; supports negative weights and
-/// merging within a family.
-class CountSketch {
- public:
-  /// \brief Adds `weight` to item x's frequency.
-  void Insert(uint64_t x, int64_t weight = 1) {
-    if (!counters_.has_value()) {
-      InsertSparse(x, nullptr, weight);
-      return;
-    }
-    InsertDense(x, weight);
-  }
-
-  /// \brief Pre-hashed insert: identical effect to Insert(ph.x, weight) with
-  /// a hash-free dense path (see AmsF2Sketch for the rationale).
-  void Insert(const RowHashSet::PreHashed& ph, int64_t weight = 1) {
-    if (!counters_.has_value()) {
-      InsertSparse(ph.x, &ph, weight);
-      return;
-    }
-    InsertDense(ph, weight);
-  }
-
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch;
-  /// purely advisory (see AmsF2Sketch::PrefetchInsert).
-  void PrefetchInsert(const RowHashSet::PreHashed& ph) const {
-    if (!counters_.has_value()) {
-      if (!sparse_.empty()) CASTREAM_PREFETCH(sparse_.data());
-      return;
-    }
-    const uint32_t covered = std::min<uint32_t>(ph.depth, counters_->depth());
-    for (uint32_t d = 0; d < covered; ++d) {
-      CASTREAM_PREFETCH_WRITE(counters_->CellAddr(d, ph.bucket[d]));
-    }
-  }
-
-  /// \brief Estimate of item x's frequency (exact while sparse).
-  double EstimateFrequency(uint64_t x) const {
-    if (!counters_.has_value()) {
-      for (const SparseEntry& e : sparse_) {
-        if (e.ph.x == x) return static_cast<double>(e.w);
-      }
-      return 0.0;
-    }
-    const RowHashSet& h = *hashes_;
-    scratch_.clear();
-    for (uint32_t d = 0; d < h.depth(); ++d) {
-      const RowHasher& row = h.row(d);
-      scratch_.push_back(
-          static_cast<double>(row.Sign(x) * counters_->at(d, row.Bucket(x))));
-    }
-    return MedianOfScratch();
-  }
-
-  /// \brief Median-of-rows estimate of F2 of the inserted frequencies (a
-  /// CountSketch row is an AMS row, so the row sum of squares estimates F2).
-  /// Callers use it as a noise scale: point estimates carry additive error
-  /// ~sqrt(F2/width). Exact while sparse.
-  double EstimateF2() const {
-    if (!counters_.has_value()) {
-      double ss = 0.0;
-      for (const SparseEntry& e : sparse_) {
-        ss += static_cast<double>(e.w) * static_cast<double>(e.w);
-      }
-      return ss;
-    }
-    scratch_.clear();
-    for (uint32_t d = 0; d < counters_->depth(); ++d) {
-      scratch_.push_back(static_cast<double>(counters_->RowSumSquares(d)));
-    }
-    return MedianOfScratch();
-  }
-
-  Status MergeFrom(const CountSketch& other) {
-    if (other.hashes_ != hashes_ && !hashes_->SameFamily(*other.hashes_)) {
-      return Status::PreconditionFailed(
-          "CountSketch::MergeFrom: sketches from different families");
-    }
-    if (!other.counters_.has_value()) {
-      // Replay carries the stored pre-hashes, so merging never re-hashes.
-      for (const SparseEntry& e : other.sparse_) Insert(e.ph, e.w);
-      return Status::OK();
-    }
-    if (!counters_.has_value()) Densify();
-    counters_->AddFrom(other.counters_.value());
-    return Status::OK();
-  }
-
-  bool IsSparse() const { return !counters_.has_value(); }
-
-  size_t SizeBytes() const {
-    if (!counters_.has_value()) {
-      return sparse_.size() * sizeof(SparseEntry) + sizeof(*this);
-    }
-    return counters_->SizeBytes();
-  }
-  size_t CounterCount() const {
-    if (!counters_.has_value()) return sparse_.size();
-    return counters_->CounterCount();
-  }
-
- private:
-  friend class CountSketchFactory;
-  // `ph.x` is the item; `ph` is populated lazily so densification re-hashes
-  // at most the entries that were never pre-hashed (see AmsF2Sketch for the
-  // entry-size trade-off).
-  struct SparseEntry {
-    RowHashSet::PreHashed ph;
-    int64_t w;
-  };
-
-  explicit CountSketch(std::shared_ptr<const RowHashSet> hashes)
-      : hashes_(std::move(hashes)) {}
-
-  size_t SparseCapacity() const {
-    const size_t cells =
-        static_cast<size_t>(hashes_->depth()) * hashes_->width();
-    return std::clamp<size_t>(cells / 8, 16, 128);
-  }
-
-  // Out of line for the same hot-loop inlining reason as
-  // AmsF2Sketch::InsertSparse.
-  [[gnu::noinline]] void InsertSparse(uint64_t x,
-                                      const RowHashSet::PreHashed* ph,
-                                      int64_t weight) {
-    for (size_t i = 0; i < sparse_.size(); ++i) {
-      SparseEntry& e = sparse_[i];
-      if (e.ph.x == x) {
-        e.w += weight;
-        if (ph != nullptr && !e.ph.Computed()) e.ph = *ph;
-        // Transpose heuristic: hot items drift toward the front (see
-        // AmsF2Sketch::InsertSparse).
-        if (i > 0) std::swap(sparse_[i], sparse_[i - 1]);
-        return;
-      }
-    }
-    SparseEntry entry;
-    if (ph != nullptr) {
-      entry.ph = *ph;
-    } else {
-      entry.ph.x = x;
-    }
-    entry.w = weight;
-    sparse_.push_back(entry);
-    if (sparse_.size() > SparseCapacity()) Densify();
-  }
-
-  void InsertDense(uint64_t x, int64_t weight) {
-    const RowHashSet& h = *hashes_;
-    for (uint32_t d = 0; d < h.depth(); ++d) {
-      const RowHasher& row = h.row(d);
-      counters_->AddAndReturnOld(d, row.Bucket(x), row.Sign(x) * weight);
-    }
-  }
-
-  // Hash-free dense update; rows beyond ph.depth hash on demand.
-  void InsertDense(const RowHashSet::PreHashed& ph, int64_t weight) {
-    const RowHashSet& h = *hashes_;
-    const uint32_t depth = h.depth();
-    for (uint32_t d = 0; d < depth; ++d) {
-      if (d < ph.depth) {
-        counters_->AddAndReturnOld(d, ph.bucket[d], ph.Sign(d) * weight);
-      } else {
-        const RowHasher& row = h.row(d);
-        counters_->AddAndReturnOld(d, row.Bucket(ph.x),
-                                   row.Sign(ph.x) * weight);
-      }
-    }
-  }
-
-  void Densify() {
-    counters_.emplace(hashes_->depth(), hashes_->width());
-    for (const SparseEntry& e : sparse_) InsertDense(e.ph, e.w);
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-  }
-
-  // ---- Wire format (see AmsF2Sketch: sparse entries stay sparse, dense
-  // mode ships raw cells; pre-hashes are recomputed from the family) --------
-
-  void EncodeTo(io::Encoder& enc) const {
-    if (!counters_.has_value()) {
-      enc.PutU8(0);
-      enc.PutU32(static_cast<uint32_t>(sparse_.size()));
-      for (const SparseEntry& e : sparse_) {
-        enc.PutU64(e.ph.x);
-        enc.PutI64(e.w);
-      }
-      return;
-    }
-    enc.PutU8(1);
-    const uint32_t d = counters_->depth();
-    const uint32_t w = counters_->width();
-    enc.PutU32(d);
-    enc.PutU32(w);
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        enc.PutI64(counters_->at(row, col));
-      }
-    }
-  }
-
-  [[nodiscard]] Status DecodeFrom(io::Decoder& dec) {
-    uint8_t mode = 0;
-    CASTREAM_RETURN_NOT_OK(dec.ReadU8(&mode));
-    if (mode == 0) {
-      uint32_t n = 0;
-      CASTREAM_RETURN_NOT_OK(dec.ReadCount(&n, 16));
-      if (n > SparseCapacity()) {
-        return Status::InvalidArgument(
-            "decode: sparse entry count exceeds this family's capacity");
-      }
-      sparse_.clear();
-      sparse_.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        SparseEntry e;
-        CASTREAM_RETURN_NOT_OK(dec.ReadU64(&e.ph.x));
-        CASTREAM_RETURN_NOT_OK(dec.ReadI64(&e.w));
-        // Entries are unique by item (see AmsF2Sketch::DecodeFrom).
-        for (const SparseEntry& seen : sparse_) {
-          if (seen.ph.x == e.ph.x) {
-            return Status::InvalidArgument(
-                "decode: duplicate item in sparse sketch entries");
-          }
-        }
-        sparse_.push_back(e);
-      }
-      return Status::OK();
-    }
-    if (mode != 1) {
-      return Status::InvalidArgument("decode: bad CountSketch mode byte");
-    }
-    uint32_t d = 0, w = 0;
-    CASTREAM_RETURN_NOT_OK(dec.ReadU32(&d));
-    CASTREAM_RETURN_NOT_OK(dec.ReadU32(&w));
-    if (d != hashes_->depth() || w != hashes_->width()) {
-      return Status::InvalidArgument(
-          "decode: dense counter dimensions disagree with the hash family");
-    }
-    const size_t cells = static_cast<size_t>(d) * w;
-    if (dec.remaining() < cells * 8) {
-      return Status::InvalidArgument(
-          "decode: payload too short for the declared counter matrix");
-    }
-    counters_.emplace(d, w);
-    sparse_.clear();
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        int64_t v = 0;
-        CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
-        counters_->AddAndReturnOld(row, col, v);
-      }
-    }
-    return Status::OK();
-  }
-
-  double MedianOfScratch() const {
-    const size_t mid = scratch_.size() / 2;
-    std::nth_element(scratch_.begin(), scratch_.begin() + mid, scratch_.end());
-    if (scratch_.size() % 2 == 1) return scratch_[mid];
-    double lo = *std::max_element(scratch_.begin(), scratch_.begin() + mid);
-    return 0.5 * (lo + scratch_[mid]);
-  }
-
-  std::shared_ptr<const RowHashSet> hashes_;
-  std::optional<CounterMatrix> counters_;  // nullopt while sparse
-  std::vector<SparseEntry> sparse_;
-  mutable std::vector<double> scratch_;
-};
-
-inline CountSketch CountSketchFactory::Create() const {
-  return CountSketch(hashes_);
-}
-
-inline void CountSketchFactory::EncodeSketch(io::Encoder& enc,
-                                             const CountSketch& sketch) const {
-  sketch.EncodeTo(enc);
-}
-
-inline Result<CountSketch> CountSketchFactory::DecodeSketch(
-    io::Decoder& dec) const {
-  CountSketch sketch = Create();
-  CASTREAM_RETURN_NOT_OK(sketch.DecodeFrom(dec));
-  return sketch;
-}
 
 }  // namespace castream
 

@@ -1,7 +1,12 @@
-// Contiguous depth x width counter storage shared by the linear sketches
-// (AMS-F2 and CountSketch are the same counter structure with different
-// estimators; both are linear maps of the input, hence turnstile-capable and
-// mergeable by addition).
+// Contiguous depth x width counter storage of the linear sketches, plus the
+// wrapping arithmetic every counter and sum-of-squares update goes through.
+// Its users: AmsF2Sketch, which is also the CountSketch (one signed-counter
+// structure read by two estimators), and CountMinSketch.
+//
+// Counters are a linear map of the input taken mod 2^64. An honest stream
+// never wraps, so the results equal plain int64 arithmetic; a hostile blob
+// can decode counters near the int64 limits, and the next merge or update
+// must wrap rather than overflow (signed overflow is undefined behaviour).
 #ifndef CASTREAM_SKETCH_COUNTER_MATRIX_H_
 #define CASTREAM_SKETCH_COUNTER_MATRIX_H_
 
@@ -10,6 +15,27 @@
 #include <vector>
 
 namespace castream {
+
+/// \brief a + b, wrapping mod 2^64.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+/// \brief a * b, wrapping mod 2^64.
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
+/// \brief (c + delta)^2 - c^2 = 2*c*delta + delta^2, wrapping: what adding
+/// `delta` to a counter holding `c` adds to its row's sum of squares. It
+/// keeps incremental sums equal to a recomputation, both mod 2^64.
+inline int64_t SquareGrowth(int64_t c, int64_t delta) {
+  const uint64_t uc = static_cast<uint64_t>(c);
+  const uint64_t ud = static_cast<uint64_t>(delta);
+  return static_cast<int64_t>(2 * uc * ud + ud * ud);
+}
 
 /// \brief Row-major matrix of int64 counters for linear sketches.
 class CounterMatrix {
@@ -27,7 +53,7 @@ class CounterMatrix {
   int64_t AddAndReturnOld(uint32_t row, uint32_t col, int64_t delta) {
     int64_t& cell = cells_[static_cast<size_t>(row) * width_ + col];
     int64_t old = cell;
-    cell += delta;
+    cell = WrapAdd(old, delta);
     return old;
   }
 
@@ -39,11 +65,9 @@ class CounterMatrix {
 
   /// \brief Cell-wise addition; dimensions must match (checked by caller).
   void AddFrom(const CounterMatrix& other) {
-    for (size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];
-  }
-
-  bool SameShape(const CounterMatrix& other) const {
-    return depth_ == other.depth_ && width_ == other.width_;
+    for (size_t i = 0; i < cells_.size(); ++i) {
+      cells_[i] = WrapAdd(cells_[i], other.cells_[i]);
+    }
   }
 
   uint32_t depth() const { return depth_; }
@@ -58,7 +82,7 @@ class CounterMatrix {
   int64_t RowSumSquares(uint32_t row) const {
     const int64_t* p = &cells_[static_cast<size_t>(row) * width_];
     int64_t ss = 0;
-    for (uint32_t c = 0; c < width_; ++c) ss += p[c] * p[c];
+    for (uint32_t c = 0; c < width_; ++c) ss = WrapAdd(ss, WrapMul(p[c], p[c]));
     return ss;
   }
 

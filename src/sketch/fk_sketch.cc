@@ -130,7 +130,7 @@ double FkSketch::Estimate() const {
   // explained by noise alone (additive ~sqrt(F2/width) per point estimate)
   // are excluded here and left to the subsampled light part instead.
   const double noise_floor =
-      3.0 * std::sqrt(std::max(0.0, levels_[0].cs.EstimateF2()) /
+      3.0 * std::sqrt(std::max(0.0, levels_[0].cs.Estimate()) /
                       static_cast<double>(opt.width));
   const double theta = std::max(1.0, noise_floor);
   std::vector<std::pair<double, uint64_t>> heavy;

@@ -103,7 +103,7 @@ TEST(CorrelatedChhOptionsTest, ValidatesResolutionsAndCapacities) {
 
 TEST(CorrelatedChhOptionsTest, MakeSummaryRejectsDegenerateConfigsLoudly) {
   SummaryOptions opts;
-  opts.chh_x_capacity = 3;
+  opts.phi_eps = 1.0;  // a primary table of ceil(2 / phi_eps) = 2 < 4 entries
   for (const char* kind : {"chh_mg", "chh_fast"}) {
     auto made = MakeSummary(kind, opts, 1);
     EXPECT_EQ(made.status().code(), Status::Code::kInvalidArgument) << kind;

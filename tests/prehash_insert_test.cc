@@ -134,7 +134,7 @@ TEST(PrehashInsertTest, CountSketchMatchesPlainAcrossDensify) {
     ASSERT_EQ(plain.IsSparse(), prehashed.IsSparse()) << "insert " << i;
   }
   EXPECT_FALSE(plain.IsSparse()) << "stream too short to cover dense mode";
-  EXPECT_EQ(plain.EstimateF2(), prehashed.EstimateF2());
+  EXPECT_EQ(plain.Estimate(), prehashed.Estimate());
   for (uint64_t x = 0; x < 250; ++x) {
     ASSERT_EQ(plain.EstimateFrequency(x), prehashed.EstimateFrequency(x))
         << "x=" << x;

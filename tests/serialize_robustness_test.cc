@@ -15,6 +15,7 @@
 #include "src/io/decoder.h"
 #include "src/io/encoder.h"
 #include "src/io/format.h"
+#include "src/sketch/ams_f2.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
@@ -357,6 +358,74 @@ TEST(SerializeRobustnessTest, ChhSaturatedTableCountsAreRejected) {
     enc.PutU32(0);  // slot count: zero
     ExpectInvalidArgument(ChhEnvelope(SummaryKind::kCorrelatedFastChh, body),
                           "chh_fast zero-slot entry");
+  }
+}
+
+TEST(SerializeRobustnessTest, HostileCountersDecodeMergeAndQueryWithoutUb) {
+  // A fresh f2 blob whose tail sketch is swapped for a dense one holding a
+  // single counter of 2^40. Its square, 2^80, overflows int64: every
+  // counter and sum-of-squares update must wrap instead of being undefined
+  // behaviour, on the reducer's path (decode, then the family probe's
+  // MergeFrom) and at query time. The ASan+UBSan build makes UB fatal.
+  auto made = MakeSummary("f2", SmallOptions(), /*seed=*/31);
+  ASSERT_TRUE(made.ok());
+  std::string fresh;
+  ASSERT_TRUE(made.value().Serialize(&fresh).ok());
+
+  // Walk the body up to the tail sketch (CorrelatedSketch::EncodeBody).
+  io::Decoder dec(io::BytesOf(fresh));
+  ASSERT_TRUE(io::ReadEnvelope(dec, AmsF2SketchFactory::kSummaryKind,
+                               AmsF2SketchFactory::kFormatVersion)
+                  .ok());
+  const size_t body_begin = fresh.size() - dec.remaining();
+  auto family = AmsF2SketchFactory::DecodeFamily(dec);
+  ASSERT_TRUE(family.ok());
+  uint64_t u64 = 0;
+  uint32_t u32 = 0;
+  ASSERT_TRUE(dec.ReadU64(&u64).ok());  // y_max
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(dec.ReadU32(&u32).ok());
+  ASSERT_TRUE(dec.ReadU64(&u64).ok());  // tuples inserted
+  ASSERT_TRUE(dec.ReadU64(&u64).ok());  // level-0 threshold
+  ASSERT_TRUE(dec.ReadU32(&u32).ok());  // singleton count
+  ASSERT_EQ(u32, 0u);
+  ASSERT_TRUE(dec.ReadU32(&u32).ok());  // first virtual level
+  ASSERT_TRUE(dec.ReadU32(&u32).ok());  // tail checks
+  const size_t tail_begin = fresh.size() - dec.remaining();
+  ASSERT_TRUE(family.value().DecodeSketch(dec).ok());
+  const size_t tail_end = fresh.size() - dec.remaining();
+
+  const int64_t big = int64_t{1} << 40;
+  std::string hostile;
+  io::Encoder enc(&hostile);
+  const size_t patch = io::BeginEnvelope(enc, AmsF2SketchFactory::kSummaryKind,
+                                         AmsF2SketchFactory::kFormatVersion);
+  enc.PutBytes(io::BytesOf(fresh.substr(body_begin, tail_begin - body_begin)));
+  enc.PutI64(big);  // net count
+  enc.PutU8(1);     // dense
+  enc.PutU32(family.value().depth());
+  enc.PutU32(family.value().width());
+  for (uint32_t cell = 0; cell < family.value().depth() * family.value().width();
+       ++cell) {
+    enc.PutI64(cell == 0 ? big : 0);
+  }
+  enc.PutBytes(io::BytesOf(fresh.substr(tail_end)));
+  io::EndEnvelope(enc, patch);
+
+  auto decoded = AnySummary::Deserialize(io::BytesOf(hostile));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (int round = 0; round < 2; ++round) {
+    auto target = MakeSummary("f2", SmallOptions(), /*seed=*/31);
+    ASSERT_TRUE(target.ok());
+    AnySummary merged = std::move(target).value();
+    ASSERT_TRUE(merged.MergeFrom(decoded.value()).ok());
+    if (round == 1) {
+      ASSERT_TRUE(merged.MergeFrom(decoded.value()).ok());
+    }
+    merged.Insert(7, 3);
+    for (uint64_t c : {uint64_t{0}, uint64_t{511}, uint64_t{1023}}) {
+      EXPECT_TRUE(merged.Query(c).ok()) << c;
+      EXPECT_TRUE(decoded.value().Query(c).ok()) << c;
+    }
   }
 }
 

@@ -5,11 +5,13 @@
 // the suite can assert on reducer counters and drive restarts precisely.
 // Runs under the `concurrency` label: the reducer is thread-per-connection
 // and the TSan job must see those paths.
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -372,6 +374,51 @@ TEST(ServiceTest, OversizePublishIsRefusedBeforeSending) {
   EXPECT_EQ(reducer->publishes_accepted(), 0u);
 }
 
+TEST(ServiceTest, OversizeRefusalKeepsTheConnection) {
+  // The frame-cap refusal writes nothing, so the connection is still in
+  // sync: the publish after it must go out on the same connection.
+  auto started = service::SnapshotReducer::Start(ReducerOpts("f2"));
+  ASSERT_TRUE(started.ok());
+  auto reducer = std::move(started).value();
+
+  auto made = MakeSummary("f2", ServiceOptions(), kSeed);
+  ASSERT_TRUE(made.ok());
+  AnySummary summary = std::move(made).value();
+  summary.InsertBatch(DemoStream(500));
+  std::string blob;
+  ASSERT_TRUE(summary.Serialize(&blob).ok());
+
+  service::ShardPublisher publisher(FastPublisher(reducer->port()));
+  ASSERT_TRUE(publisher.Publish(0, 1, blob).ok());
+  EXPECT_TRUE(publisher.connected());
+  const std::string oversize(net::kMaxPayloadBytes + 1, '\x5a');
+  Status st = publisher.Publish(0, 2, oversize);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(publisher.connected());
+  ASSERT_TRUE(publisher.Publish(0, 3, blob).ok());
+  EXPECT_TRUE(publisher.connected());
+  EXPECT_EQ(publisher.generation(), 1u);  // no reconnect
+  EXPECT_EQ(reducer->publishes_accepted(), 2u);
+  EXPECT_EQ(reducer->frames_bad(), 0u);
+}
+
+TEST(ServiceTest, JitteredBackoffRepeatsAndStaysInRange) {
+  const std::chrono::milliseconds base(100);
+  Xoshiro256 rng(7);
+  EXPECT_EQ(service::JitteredBackoff(base, 0.0, rng), base);
+  for (double jitter : {service::kBackoffJitter, 0.5, 1.0}) {
+    Xoshiro256 a(7), b(7);
+    for (int i = 0; i < 1000; ++i) {
+      const auto step = service::JitteredBackoff(base, jitter, a);
+      EXPECT_EQ(step, service::JitteredBackoff(base, jitter, b)) << i;
+      EXPECT_GT(static_cast<double>(step.count()),
+                static_cast<double>(base.count()) * (1.0 - jitter))
+          << "jitter " << jitter << " step " << i;
+      EXPECT_LE(step, base) << "jitter " << jitter << " step " << i;
+    }
+  }
+}
+
 TEST(ServiceTest, MismatchedSeedIsRejectedAtTheDoor) {
   // A worker configured with a different hash seed produces blobs that
   // cannot merge with the reducer's family; the probe-merge at publish
@@ -456,11 +503,17 @@ TEST(RelayTest, TopologyParseRejectsNonTrees) {
     auto parsed = service::TopologyConfig::Parse(spec);
     EXPECT_FALSE(parsed.ok()) << "spec '" << spec << "' should not parse";
   }
-  // Fan-in cap: three children under one parent, cap of two.
-  EXPECT_FALSE(
-      service::TopologyConfig::Parse("0>9,1>9,2>9", /*max_fan_in=*/2).ok());
-  EXPECT_TRUE(
-      service::TopologyConfig::Parse("0>9,1>9,2>9", /*max_fan_in=*/3).ok());
+  // Fan-in cap of 64 children under one parent.
+  auto star = [](uint32_t children) {
+    std::string spec;
+    for (uint32_t c = 0; c < children; ++c) {
+      if (c > 0) spec += ',';
+      spec += std::to_string(c) + ">1000";
+    }
+    return spec;
+  };
+  EXPECT_TRUE(service::TopologyConfig::Parse(star(64)).ok());
+  EXPECT_FALSE(service::TopologyConfig::Parse(star(65)).ok());
 }
 
 // One worker's shards through a relay into a root: the root's answer must
@@ -518,6 +571,40 @@ TEST(RelayTest, RelayChainAnswersMatchDriverMergeBitForBit) {
     EXPECT_EQ(stats.slots[0].worker, 9u) << kind;
     EXPECT_EQ(stats.slots[0].downstream_entries, 3u) << kind;
   }
+}
+
+// A relay whose parent refuses its table (here: a root of a different
+// seed) offers that table once, counts the refusal, and waits for the
+// table to change instead of re-sending the same bytes every poll tick.
+TEST(RelayTest, RefusedTableIsNotResentUntilItChanges) {
+  service::ReducerOptions root_opts = ReducerOpts("f2");
+  root_opts.summary_seed = kSeed + 1;
+  auto root_started = service::SnapshotReducer::Start(root_opts);
+  ASSERT_TRUE(root_started.ok());
+  auto root = std::move(root_started).value();
+  auto relay_started =
+      service::RelayNode::Start(RelayOpts("f2", root->port(), 9));
+  ASSERT_TRUE(relay_started.ok());
+  auto relay = std::move(relay_started).value();
+
+  auto driver = MakeDriver("f2", /*shards=*/1);
+  driver->InsertBatch(DemoStream(1000));
+  driver->Flush();
+  driver->PublishSnapshots();
+  service::ShardPublisher publisher(FastPublisher(relay->port()));
+  ASSERT_TRUE(service::PublishFreshSnapshots(publisher, *driver).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (relay->upstream_refusals() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // 20+ more poll ticks of 5 ms with an unchanged table.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(relay->upstream_refusals(), 1u);
+  EXPECT_EQ(root->publishes_rejected(), 1u);
+  EXPECT_EQ(root->publishes_accepted(), 0u);
+  EXPECT_EQ(relay->Shutdown().code(), Status::Code::kPreconditionFailed);
 }
 
 // Relay restart epoch rules: a restarted relay's pub_seq starts over at 1,
