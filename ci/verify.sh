@@ -125,6 +125,26 @@ if [ "$BUILD_TYPE" = "Release" ] && [ -z "$SANITIZE" ]; then
   cmake "${PERFBENCH_ARGS[@]}"
   cmake --build "$BUILD_DIR/perfbench" --target castream_perfbench \
     -j"$(nproc)"
+
+  # One short served run (workers publish, the reducer decodes and merges,
+  # queries answer) checked against its exact oracle: the harness's result
+  # line must say "correct":true. Exit 3 means the runner has fewer CPUs
+  # than the workload's threads and connections, so nothing was measured.
+  PERFBENCH_RC=0
+  PERFBENCH_OUT=$("$BUILD_DIR/perfbench/castream_perfbench" \
+    --workload f2_served --seed 1 --seconds 1 --trace 0) || PERFBENCH_RC=$?
+  if [ "$PERFBENCH_RC" -eq 3 ]; then
+    echo "note: f2_served needs more CPUs than this runner has;" \
+         "skipping the served correctness run"
+  elif [ "$PERFBENCH_RC" -ne 0 ] ||
+       ! tail -n 1 <<< "$PERFBENCH_OUT" | grep -q '"correct":true'; then
+    echo "error: castream_perfbench f2_served run failed" \
+         "(exit $PERFBENCH_RC) or reported incorrect answers:" >&2
+    echo "$PERFBENCH_OUT" >&2
+    exit 1
+  else
+    echo "perfbench f2_served: correct"
+  fi
 fi
 
 cd "$BUILD_DIR"

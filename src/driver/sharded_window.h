@@ -163,7 +163,7 @@ class ShardedAsyncWindow {
           "watermark precedes an observed timestamp; sliding-window queries "
           "address the most recent window only");
     }
-    return std::move(answer);
+    return answer;
   }
 
   /// \brief Monotone max over concurrent observers.

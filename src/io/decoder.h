@@ -1,17 +1,23 @@
 // Checked binary reader for the summary wire format (see encoder.h).
 //
-// Every read validates remaining length and returns Status instead of
-// crashing: a truncated, bit-flipped, or adversarial blob must surface
-// InvalidArgument from Deserialize, never UB or an allocation explosion.
-// Count fields are therefore read through ReadCount, which caps the declared
-// element count by the bytes actually remaining — a 4-byte count can claim
-// 2^32 entries, but it cannot make the decoder reserve more memory than the
-// blob could possibly back.
+// Integers are read as little-endian on every host: a little-endian host
+// copies them (and whole int64 spans) straight out of the payload, other
+// hosts assemble them one byte at a time.
+//
+// Every read validates remaining length before it copies anything and
+// returns Status instead of crashing: a truncated, bit-flipped, or
+// adversarial blob must surface InvalidArgument from Deserialize, never UB
+// or an allocation explosion. Count fields are therefore read through
+// ReadCount, which caps the declared element count by the bytes actually
+// remaining — a 4-byte count can claim 2^32 entries, but it cannot make the
+// decoder reserve more memory than the blob could possibly back.
 #ifndef CASTREAM_IO_DECODER_H_
 #define CASTREAM_IO_DECODER_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -35,25 +41,15 @@ class Decoder {
 
   [[nodiscard]] Status ReadU32(uint32_t* v) {
     if (remaining() < 4) return Truncated("u32");
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
+    *v = LoadLittleEndian<uint32_t>(pos_);
     pos_ += 4;
-    *v = out;
     return Status::OK();
   }
 
   [[nodiscard]] Status ReadU64(uint64_t* v) {
     if (remaining() < 8) return Truncated("u64");
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
+    *v = LoadLittleEndian<uint64_t>(pos_);
     pos_ += 8;
-    *v = out;
     return Status::OK();
   }
 
@@ -68,6 +64,24 @@ class Decoder {
     uint32_t u = 0;
     CASTREAM_RETURN_NOT_OK(ReadU32(&u));
     *v = static_cast<int32_t>(u);
+    return Status::OK();
+  }
+
+  /// \brief Fills `out` with out.size() values as ReadI64 would read them,
+  /// copied as one block on little-endian hosts. A payload too short for
+  /// the whole span fails before anything is read or consumed.
+  [[nodiscard]] Status ReadI64Span(std::span<int64_t> out) {
+    if (remaining() / sizeof(int64_t) < out.size()) return Truncated("i64s");
+    if (out.empty()) return Status::OK();
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+    } else {
+      for (size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<int64_t>(
+            LoadLittleEndian<uint64_t>(pos_ + i * sizeof(int64_t)));
+      }
+    }
+    pos_ += out.size_bytes();
     return Status::OK();
   }
 
@@ -108,6 +122,20 @@ class Decoder {
   static Status Truncated(const char* what) {
     return Status::InvalidArgument(
         std::string("decode: payload truncated while reading ") + what);
+  }
+
+  // The caller has checked that sizeof(T) bytes remain at `at`.
+  template <typename T>
+  T LoadLittleEndian(size_t at) const {
+    T out = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&out, bytes_.data() + at, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        out |= static_cast<T>(static_cast<uint8_t>(bytes_[at + i])) << (8 * i);
+      }
+    }
+    return out;
   }
 
   std::span<const std::byte> bytes_;

@@ -434,11 +434,7 @@ class AmsF2Sketch {
     const uint32_t w = counters_->width();
     enc.PutU32(d);
     enc.PutU32(w);
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        enc.PutI64(counters_->at(row, col));
-      }
-    }
+    enc.PutI64Span(counters_->cells());
   }
 
   [[nodiscard]] Status DecodeCells(io::Decoder& dec) {
@@ -480,20 +476,9 @@ class AmsF2Sketch {
       return Status::InvalidArgument(
           "decode: dense counter dimensions disagree with the hash family");
     }
-    const size_t cells = static_cast<size_t>(d) * w;
-    if (dec.remaining() < cells * 8) {
-      return Status::InvalidArgument(
-          "decode: payload too short for the declared counter matrix");
-    }
     counters_.emplace(d, w);
     row_ss_.assign(d, 0);
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        int64_t v = 0;
-        CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
-        counters_->AddAndReturnOld(row, col, v);
-      }
-    }
+    CASTREAM_RETURN_NOT_OK(dec.ReadI64Span(counters_->cells()));
     RecomputeRowSums();
     return Status::OK();
   }

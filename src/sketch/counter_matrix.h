@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace castream {
@@ -69,6 +70,10 @@ class CounterMatrix {
       cells_[i] = WrapAdd(cells_[i], other.cells_[i]);
     }
   }
+
+  /// \brief All depth x width cells in row-major order, for the cell codec.
+  std::span<const int64_t> cells() const { return cells_; }
+  std::span<int64_t> cells() { return cells_; }
 
   uint32_t depth() const { return depth_; }
   uint32_t width() const { return width_; }

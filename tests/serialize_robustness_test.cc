@@ -6,6 +6,8 @@
 // job runs this suite, so any out-of-bounds read or UB on these paths
 // fails loudly.
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -235,6 +237,99 @@ TEST(SerializeRobustnessTest, ReadCountZeroElementsAlwaysFits) {
   ASSERT_TRUE(decoder.ReadCount(&count, /*min_bytes_each=*/0).ok());
   EXPECT_EQ(count, 0u);
   EXPECT_TRUE(decoder.Done());
+}
+
+TEST(SerializeRobustnessTest, PutI64SpanEmitsLittleEndianTwosComplement) {
+  // The wire bytes are fixed by hand here, not by PutI64, so a bulk copy
+  // that disagreed with the documented format on any host would fail.
+  const int64_t values[] = {0,
+                            -1,
+                            1,
+                            std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(),
+                            int64_t{0x0102030405060708}};
+  const unsigned char expected[] = {
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // -1
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // INT64_MIN
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,  // INT64_MAX
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // 0x0102030405060708
+  };
+  std::string out = "p";  // appends after existing bytes
+  io::Encoder enc(&out);
+  enc.PutI64Span(values);
+  ASSERT_EQ(out.size(), 1 + sizeof(expected));
+  EXPECT_EQ(out[0], 'p');
+  for (size_t i = 0; i < sizeof(expected); ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(out[1 + i]), expected[i]) << i;
+  }
+
+  io::Decoder dec(io::BytesOf(out));
+  uint8_t prefix = 0;
+  ASSERT_TRUE(dec.ReadU8(&prefix).ok());
+  int64_t decoded[6] = {};
+  ASSERT_TRUE(dec.ReadI64Span(decoded).ok());
+  EXPECT_TRUE(dec.Done());
+  for (size_t i = 0; i < 6; ++i) EXPECT_EQ(decoded[i], values[i]) << i;
+}
+
+TEST(SerializeRobustnessTest, ReadI64SpanOneByteShortConsumesNothing) {
+  std::string payload(3 * 8 - 1, '\x11');
+  io::Decoder dec(io::BytesOf(payload));
+  int64_t cells[3] = {7, 7, 7};
+  const Status status = dec.ReadI64Span(cells);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(dec.remaining(), payload.size());
+  for (int64_t c : cells) EXPECT_EQ(c, 7);
+
+  // The exact fit still reads, and an empty span always does.
+  payload.push_back('\x11');
+  io::Decoder fits(io::BytesOf(payload));
+  ASSERT_TRUE(fits.ReadI64Span(std::span<int64_t>{}).ok());
+  ASSERT_TRUE(fits.ReadI64Span(cells).ok());
+  EXPECT_TRUE(fits.Done());
+  for (int64_t c : cells) EXPECT_EQ(c, int64_t{0x1111111111111111});
+}
+
+TEST(SerializeRobustnessTest, HandBuiltDenseSketchReencodesByteIdentical) {
+  // A dense sketch blob written field by field with the scalar writers:
+  // net count, mode byte 1, depth, width, then the row-major cells. The
+  // block decode and block encode must reproduce it exactly.
+  const AmsF2SketchFactory family(SketchDims{3, 5}, /*seed=*/77);
+  std::string blob;
+  io::Encoder enc(&blob);
+  enc.PutI64(-42);  // net count
+  enc.PutU8(1);     // dense
+  enc.PutU32(family.depth());
+  enc.PutU32(family.width());
+  Xoshiro256 rng = TestRng(9);
+  for (uint32_t cell = 0; cell < family.depth() * family.width(); ++cell) {
+    int64_t v = static_cast<int64_t>(rng.Next());
+    if (cell == 0) v = std::numeric_limits<int64_t>::min();
+    if (cell == 1) v = -1;
+    enc.PutI64(v);
+  }
+
+  io::Decoder dec(io::BytesOf(blob));
+  auto sketch = family.DecodeSketch(dec);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  EXPECT_TRUE(dec.Done());
+  EXPECT_EQ(sketch.value().NetCount(), -42);
+  std::string again;
+  io::Encoder reenc(&again);
+  family.EncodeSketch(reenc, sketch.value());
+  EXPECT_EQ(again, blob);
+
+  // Any truncation of the cell block is refused.
+  for (size_t cut = 1; cut <= 8 * family.depth() * family.width(); cut += 7) {
+    const std::string truncated_blob = blob.substr(0, blob.size() - cut);
+    io::Decoder shortdec(io::BytesOf(truncated_blob));
+    auto truncated = family.DecodeSketch(shortdec);
+    ASSERT_FALSE(truncated.ok()) << cut;
+    EXPECT_EQ(truncated.status().code(), Status::Code::kInvalidArgument);
+  }
 }
 
 std::string ChhEnvelope(SummaryKind kind, const std::string& body) {
