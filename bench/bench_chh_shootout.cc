@@ -4,7 +4,7 @@
 // workloads (bench/workload.h Zipf(1.1) / bursty / uniform streams), and
 // each benchmark records the three axes the panel is chosen on:
 //
-//   items_per_second   ingest throughput (columnar batches, offered tuples)
+//   items_per_second   ingest throughput (InsertBatch calls, offered tuples)
 //   serialized_bytes   wire size of the summary after one full stream pass
 //   precision/recall   QueryHeavyHitters(c, phi) against an exact oracle
 //                      built from the same stream

@@ -38,7 +38,8 @@ void BM_CorrelatedF2Insert(benchmark::State& state) {
 BENCHMARK(BM_CorrelatedF2Insert)->Arg(15)->Arg(20)->Arg(25);
 
 void BM_CorrelatedF2InsertBatched(benchmark::State& state) {
-  // The Lemma 9 amortization: one pre-hash pass plus level-major routing.
+  // The same per-tuple router as BM_CorrelatedF2Insert, entered in
+  // 4096-tuple InsertBatch calls (the shape a shard thread ingests).
   // InsertBatch borrows the buffer (span), so clear() keeps its capacity and
   // the timed loop never re-allocates.
   auto sketch = MakeCorrelatedF2(F2Opts(0.20), 3);

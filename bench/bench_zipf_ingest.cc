@@ -1,4 +1,4 @@
-// Trace-shaped ingest throughput: the columnar batch pipeline and the
+// Trace-shaped ingest throughput: batched InsertBatch ingest and the
 // hot-key pre-aggregation front end on skewed workloads (bench/workload.h).
 //
 // The recorded uniform-workload numbers (BM_CorrelatedF2InsertBatched in
@@ -57,7 +57,7 @@ const std::vector<Tuple>& ChurnStream() {
   return *s;
 }
 
-// Streams `stream` through the sketch in kBatch-tuple columnar batches.
+// Streams `stream` through the sketch in kBatch-tuple InsertBatch calls.
 template <typename Sketch>
 void RunBatched(benchmark::State& state, Sketch& sketch,
                 const std::vector<Tuple>& stream) {
@@ -142,8 +142,8 @@ void BM_BurstyF2InsertCoalesced(benchmark::State& state) {
 BENCHMARK(BM_BurstyF2InsertCoalesced);
 
 void BM_ChurnF2InsertBatched(benchmark::State& state) {
-  // Rotating working set: per-key state keeps going cold — a stress on the
-  // columnar path's sorted-run reuse rather than on coalescing.
+  // Rotating working set: per-key state keeps going cold — a stress on
+  // bucket-cell cache misses rather than on coalescing.
   auto sketch = MakeCorrelatedF2(bench::F2BenchOpts(0.20, kYRange), 3);
   RunBatched(state, sketch, ChurnStream());
 }

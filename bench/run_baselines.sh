@@ -10,7 +10,7 @@
 # plus bench_sharded_ingest (the sharded-driver aggregate-throughput matrix)
 # plus bench_serialize (wire-format encode/decode bytes-per-second) plus
 # bench_snapshot_query (query serving rates, blocking vs snapshot) plus
-# bench_zipf_ingest (trace-shaped columnar/coalesced ingest) plus
+# bench_zipf_ingest (trace-shaped batched/coalesced ingest) plus
 # bench_merge_scaling (merge-tree re-merge cost under single-shard
 # churn) plus bench_chh_shootout (the three correlated heavy-hitters kinds
 # on shared workloads: throughput, serialized bytes, precision/recall; the

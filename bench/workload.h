@@ -9,7 +9,7 @@
 // seed, so any recorded number can be traced back to the exact stream that
 // produced it.
 //
-// The shapes (what the columnar + hot-key ingest engine is exercised on):
+// The shapes (what batched and hot-key-coalesced ingest is exercised on):
 //   * Uniform       — independent uniform x and y (the paper's baseline).
 //   * Zipf          — x ~ Zipf(alpha) with y quantized to y_card distinct
 //                     values: hot keys repeat whole (x, y) pairs, which is

@@ -113,9 +113,9 @@ if ! grep -q '"\$BIN" kinds' ci/shardctl_demo.sh; then
   exit 1
 fi
 
-# Compile (never run) the repo benchmark harness in Release: perfbench/
-# drives the library only through its public API, so a public-API change
-# that would break `python3 perfbench/run.py` fails here instead.
+# Compile the repo benchmark harness in Release and run it briefly:
+# perfbench/ drives the library only through its public API, so a public-API
+# change that would break `python3 perfbench/run.py` fails here instead.
 if [ "$BUILD_TYPE" = "Release" ] && [ -z "$SANITIZE" ]; then
   PERFBENCH_ARGS=(-S perfbench -B "$BUILD_DIR/perfbench"
                   -DCMAKE_BUILD_TYPE=Release)
@@ -126,25 +126,30 @@ if [ "$BUILD_TYPE" = "Release" ] && [ -z "$SANITIZE" ]; then
   cmake --build "$BUILD_DIR/perfbench" --target castream_perfbench \
     -j"$(nproc)"
 
-  # One short served run (workers publish, the reducer decodes and merges,
-  # queries answer) checked against its exact oracle: the harness's result
-  # line must say "correct":true. Exit 3 means the runner has fewer CPUs
-  # than the workload's threads and connections, so nothing was measured.
-  PERFBENCH_RC=0
-  PERFBENCH_OUT=$("$BUILD_DIR/perfbench/castream_perfbench" \
-    --workload f2_served --seed 1 --seconds 1 --trace 0) || PERFBENCH_RC=$?
-  if [ "$PERFBENCH_RC" -eq 3 ]; then
-    echo "note: f2_served needs more CPUs than this runner has;" \
-         "skipping the served correctness run"
-  elif [ "$PERFBENCH_RC" -ne 0 ] ||
-       ! tail -n 1 <<< "$PERFBENCH_OUT" | grep -q '"correct":true'; then
-    echo "error: castream_perfbench f2_served run failed" \
-         "(exit $PERFBENCH_RC) or reported incorrect answers:" >&2
-    echo "$PERFBENCH_OUT" >&2
-    exit 1
-  else
-    echo "perfbench f2_served: correct"
-  fi
+  # One short run per workload, checked against its exact oracle: the
+  # harness's result line must say "correct":true. f2_served covers the
+  # served path (workers publish, the reducer decodes and merges, queries
+  # answer); f2_uniform_ingest covers the sharded ingest path (every shard
+  # thread feeds InsertBatch). Exit 3 means the runner has fewer CPUs than
+  # the workload's threads and connections, so nothing was measured.
+  for WORKLOAD in f2_served f2_uniform_ingest; do
+    PERFBENCH_RC=0
+    PERFBENCH_OUT=$("$BUILD_DIR/perfbench/castream_perfbench" \
+      --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0) ||
+      PERFBENCH_RC=$?
+    if [ "$PERFBENCH_RC" -eq 3 ]; then
+      echo "note: $WORKLOAD needs more CPUs than this runner has;" \
+           "skipping its correctness run"
+    elif [ "$PERFBENCH_RC" -ne 0 ] ||
+         ! tail -n 1 <<< "$PERFBENCH_OUT" | grep -q '"correct":true'; then
+      echo "error: castream_perfbench $WORKLOAD run failed" \
+           "(exit $PERFBENCH_RC) or reported incorrect answers:" >&2
+      echo "$PERFBENCH_OUT" >&2
+      exit 1
+    else
+      echo "perfbench $WORKLOAD: correct"
+    fi
+  done
 fi
 
 cd "$BUILD_DIR"

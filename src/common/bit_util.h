@@ -5,18 +5,6 @@
 #include <bit>
 #include <cstdint>
 
-// Software prefetch for the columnar ingest path. Semantically inert (a
-// prefetch of any address, valid or stale, only warms the cache), so using it
-// can never change results — only hide the memory latency of the
-// bucket-sketch counter cells the update loop is about to touch.
-#if defined(__GNUC__) || defined(__clang__)
-#define CASTREAM_PREFETCH(addr) __builtin_prefetch((addr), 0, 3)
-#define CASTREAM_PREFETCH_WRITE(addr) __builtin_prefetch((addr), 1, 3)
-#else
-#define CASTREAM_PREFETCH(addr) ((void)(addr))
-#define CASTREAM_PREFETCH_WRITE(addr) ((void)(addr))
-#endif
-
 namespace castream {
 
 /// \brief floor(log2(v)) for v >= 1; returns 0 for v == 0.

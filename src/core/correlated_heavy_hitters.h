@@ -65,17 +65,6 @@ class F2HeavyHitterBundleFactory {
     return F2HeavyHitterPreHashed{f2_.Prehash(x), cs_.Prehash(x)};
   }
 
-  /// \brief Bulk pre-hash: two contiguous row-outer passes (one per member
-  /// family) filling the strided `.f2` / `.cs` members of `out` via
-  /// RowHashSet::PreHashBatchTo.
-  void PrehashBatch(std::span<const uint64_t> xs,
-                    F2HeavyHitterPreHashed* out) const {
-    f2_.PrehashBatchTo(
-        xs, [out](size_t i) -> RowHashSet::PreHashed& { return out[i].f2; });
-    cs_.PrehashBatchTo(
-        xs, [out](size_t i) -> RowHashSet::PreHashed& { return out[i].cs; });
-  }
-
   // ---- Wire format (src/io): both member families plus the candidate
   // budget; bundles encode member-wise. ---------------------------------------
 
@@ -131,13 +120,6 @@ class F2HeavyHitterBundle {
     f2_.Insert(ph.f2, weight);
     cs_.Insert(ph.cs, weight);
     AddCandidate(ph.f2.x);
-  }
-
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch;
-  /// purely advisory (see AmsF2Sketch::PrefetchInsert).
-  void PrefetchInsert(const F2HeavyHitterPreHashed& ph) const {
-    f2_.PrefetchInsert(ph.f2);
-    cs_.PrefetchInsert(ph.cs);
   }
 
   double Estimate() const { return f2_.Estimate(); }
@@ -280,7 +262,7 @@ class CorrelatedF2HeavyHitters {
     sketch_.Insert(x, y, weight);
   }
 
-  /// \brief Batched ingest, exactly equivalent to one-at-a-time Insert (see
+  /// \brief Batched ingest: one-at-a-time Insert in batch order (see
   /// CorrelatedSketch::InsertBatch); each tuple's AMS + CountSketch
   /// randomness is hashed once for all bucket levels.
   void InsertBatch(std::span<const Tuple> batch) {

@@ -42,14 +42,12 @@
 //     singletons are flat sorted vectors (discards only ever pop the back),
 //     and a per-level cursor caches the last leaf so runs of nearby y values
 //     skip the root-to-leaf descent;
-//   * InsertBatch processes a batch level-major (all tuples through level 0,
-//     then through each tree level) — levels are mutually independent, so
-//     this is *exactly* equivalent to one-at-a-time insertion in stream
-//     order while keeping each level's tree cache-resident. The batch is
-//     deliberately NOT re-sorted by y: reordering can shift bucket-closing
-//     times, which changes which dyadic spans straddle a query cutoff and
-//     therefore the answer; level-major order gives the locality win without
-//     giving up estimate-identical batched ingest;
+//   * InsertBatch is a plain in-order loop over Insert, so batched and
+//     one-at-a-time ingest share one router and agree bit for bit; a batch
+//     only amortizes the caller's handoff. (A level-major columnar pipeline
+//     was measured slower: its pre-hash column outgrew L1d and was re-read
+//     once per level.) Batches are never re-sorted by y: reordering can
+//     shift bucket-closing times and therefore the answer;
 //   * virtual root pool: every level whose root bucket has never closed has,
 //     by construction, absorbed the exact same stream — every arrival, since
 //     its Y_l is still infinite and its tree is the single open root. Those
@@ -124,38 +122,6 @@ concept HasEstimateUpperBound = requires(const S& s) {
   { s.EstimateUpperBound() } -> std::convertible_to<double>;
 };
 
-/// \brief True when the factory can pre-hash a whole column of x values in
-/// one contiguous pass (RowHashSet::PreHashBatch). Factories without it fall
-/// back to a per-item Prehash loop; results are identical either way.
-template <typename Factory, typename PreHashed>
-concept BatchPreHash = requires(const Factory& f, std::span<const uint64_t> xs,
-                                PreHashed* out) {
-  f.PrehashBatch(xs, out);
-};
-
-/// \brief True when the sketch can warm the cache lines an upcoming
-/// pre-hashed insert will touch. Prefetching is advisory — it never changes
-/// results — so the batch path uses it freely with a small lookahead.
-template <typename S, typename PreHashed>
-concept HasPrefetchInsert = requires(const S& s, const PreHashed& ph) {
-  s.PrefetchInsert(ph);
-};
-
-/// \brief Batch scratch storage: a vector of the factory's pre-hashed type
-/// when the fast path applies, an empty stand-in otherwise.
-template <typename Factory, typename Sketch>
-struct PrehashBuffer {
-  struct Unused {};
-  using type = Unused;
-};
-
-template <typename Factory, typename Sketch>
-  requires PreHashedIngest<Factory, Sketch>
-struct PrehashBuffer<Factory, Sketch> {
-  using type = std::vector<std::decay_t<
-      decltype(std::declval<const Factory&>().Prehash(uint64_t{0}))>>;
-};
-
 }  // namespace internal
 
 /// \brief Summary for correlated aggregate queries f(S, c) = f({x : y <= c})
@@ -220,34 +186,22 @@ class CorrelatedSketch {
 
   void Insert(const Tuple& t) { Insert(t.x, t.y, 1); }
 
-  /// \brief Batched insertion: exactly equivalent to calling Insert on each
-  /// tuple in order (the equivalence is tested, not aspirational), processed
-  /// as a columnar (SoA) pipeline: the batch is staged into x / y column
-  /// buffers, the whole x column is pre-hashed in one contiguous row-outer
-  /// pass (Factory::PrehashBatch when available), and rows are then routed
-  /// level-major with per-level sorted candidate runs and software prefetch
-  /// on the bucket-sketch cells (the amortization of Lemma 9). Callers keep
-  /// ownership of the buffer and can reuse its capacity.
+  /// \brief Batched insertion: calls Insert on each tuple in order, so it is
+  /// exactly equivalent to one-at-a-time ingest (the equivalence is tested).
+  /// Callers keep ownership of the buffer and can reuse its capacity.
   void InsertBatch(std::span<const Tuple> batch) {
-    if (batch.empty()) return;
-    tuples_inserted_ += batch.size();
-    StageColumns(batch);
-    RunStagedBatch([](size_t) { return int64_t{1}; });
+    for (const Tuple& t : batch) Insert(t.x, t.y, 1);
   }
 
   void InsertBatch(std::initializer_list<Tuple> batch) {
     InsertBatch(std::span<const Tuple>(batch.begin(), batch.size()));
   }
 
-  /// \brief Weighted batched insertion: exactly equivalent to calling
-  /// Insert(x, y, weight) on each tuple in order, through the same columnar
-  /// pipeline. This is what the hot-key coalescing front end feeds: repeated
+  /// \brief Weighted batched insertion: Insert(x, y, weight) on each tuple in
+  /// order. This is what the hot-key coalescing front end feeds: repeated
   /// (x, y) arrivals collapse into one weighted row.
   void InsertBatch(std::span<const WeightedTuple> batch) {
-    if (batch.empty()) return;
-    tuples_inserted_ += batch.size();
-    StageColumns(batch);
-    RunStagedBatch([this](size_t i) { return w_scratch_[i]; });
+    for (const WeightedTuple& t : batch) Insert(t.x, t.y, t.weight);
   }
   // (No initializer_list<WeightedTuple> overload: brace lists like {{x, y}}
   // would become ambiguous against the Tuple overloads.)
@@ -700,37 +654,6 @@ class CorrelatedSketch {
   static constexpr bool kPreHashedIngest =
       internal::PreHashedIngest<Factory, Sketch>;
 
-  /// \brief The factory's pre-hashed row type (meaningful only when
-  /// kPreHashedIngest holds; an inert stand-in otherwise, so the dependent
-  /// concepts below stay well-formed).
-  struct NoPreHash {};
-  template <typename F, bool = internal::PreHashedIngest<F, Sketch>>
-  struct PreHashedTypeOf {
-    using type = NoPreHash;
-  };
-  template <typename F>
-  struct PreHashedTypeOf<F, true> {
-    using type =
-        std::decay_t<decltype(std::declval<const F&>().Prehash(uint64_t{0}))>;
-  };
-  using PreHashedT = typename PreHashedTypeOf<Factory>::type;
-
-  static constexpr bool kBatchPreHash =
-      kPreHashedIngest && internal::BatchPreHash<Factory, PreHashedT>;
-  static constexpr bool kPrefetchIngest =
-      kPreHashedIngest && internal::HasPrefetchInsert<Sketch, PreHashedT>;
-  /// Rows to run ahead of the update loop when issuing prefetches: far
-  /// enough to cover a memory round trip, near enough that the lines are
-  /// still resident when the loop arrives.
-  static constexpr size_t kPrefetchLookahead = 8;
-  /// Row indices are staged as uint32 (half the sort traffic of size_t);
-  /// batches beyond that — never seen in practice — take the plain scans.
-  static constexpr size_t kMaxIndexedRows = UINT32_MAX;
-  /// A thresholded level takes the sorted-run path only when its eligible
-  /// prefix is at most 1/this of the batch; larger prefixes plain-scan
-  /// (copy + re-sort of a near-whole batch costs more than the scan).
-  static constexpr size_t kSortedRunDivisor = 4;
-
   struct Node {
     DyadicInterval span;
     Sketch sketch;
@@ -775,228 +698,11 @@ class CorrelatedSketch {
       InsertTreeLevel(levels_[l], item, y, weight);
     }
     // One update covers every virtual level: their roots are all still open
-    // with Y_l = infinity, so each would have absorbed this arrival.
-    if (first_virtual_ <= max_level_) InsertVirtualTail(item, weight);
-  }
-
-  // ---- Columnar batch pipeline ---------------------------------------------
-
-  /// \brief Stages a batch into SoA column buffers: x values contiguous for
-  /// the bulk pre-hash pass, y values pre-clamped once (instead of per level
-  /// per row), and — for weighted batches — the weight column.
-  template <typename T>
-  void StageColumns(std::span<const T> batch) {
-    const size_t n = batch.size();
-    x_scratch_.resize(n);
-    y_scratch_.resize(n);
-    y_batch_min_ = UINT64_MAX;
-    y_batch_max_ = 0;
-    for (size_t i = 0; i < n; ++i) {
-      x_scratch_[i] = batch[i].x;
-      const uint64_t y = std::min(batch[i].y, y_max_);
-      y_scratch_[i] = y;
-      // The batch's y range, for free in this pass: levels whose threshold
-      // falls outside it are routed without sorting (see RunBatchTreeLevel).
-      y_batch_min_ = std::min(y_batch_min_, y);
-      y_batch_max_ = std::max(y_batch_max_, y);
-    }
-    if constexpr (requires(const T& t) { t.weight; }) {
-      w_scratch_.resize(n);
-      for (size_t i = 0; i < n; ++i) w_scratch_[i] = batch[i].weight;
-    }
-  }
-
-  /// \brief Pre-hashes the staged x column, then routes rows level-major.
-  /// `weight_at(i)` yields row i's insert weight (constant 1 for unweighted
-  /// batches; the w column otherwise).
-  template <typename WeightAt>
-  void RunStagedBatch(WeightAt weight_at) {
-    order_ready_ = false;
-    if constexpr (kPreHashedIngest) {
-      const size_t n = x_scratch_.size();
-      prehash_scratch_.resize(n);
-      if constexpr (kBatchPreHash) {
-        // One contiguous row-outer pass over the whole column: the hash
-        // coefficients stay register-resident and the compiler sees a tight
-        // vectorizable loop (RowHashSet::PreHashBatch).
-        factory_.PrehashBatch(std::span<const uint64_t>(x_scratch_),
-                              prehash_scratch_.data());
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          prehash_scratch_[i] = factory_.Prehash(x_scratch_[i]);
-        }
-      }
-      RouteStagedRows(
-          [this](size_t i) -> decltype(auto) { return (prehash_scratch_[i]); },
-          weight_at);
-    } else {
-      RouteStagedRows([this](size_t i) { return x_scratch_[i]; }, weight_at);
-    }
-  }
-
-  /// \brief Level-major routing of the staged rows. Levels share no state
-  /// (each level's thresholds and tree evolve only from its own inserts), so
-  /// running the whole batch through level 0, then through each tree level,
-  /// reproduces one-at-a-time insertion exactly while touching one level's
-  /// working set at a time. Levels materialized out of the virtual pool
-  /// mid-batch resume their own tree from the row after the one that closed
-  /// their root (that row itself was absorbed by the tail, i.e. by their
-  /// root).
-  template <typename ItemAt, typename WeightAt>
-  void RouteStagedRows(ItemAt item_at, WeightAt weight_at) {
-    const size_t n = y_scratch_.size();
-    RunBatchLevel0(item_at, weight_at);
-    const uint32_t real_end = first_virtual_;
-    for (uint32_t l = 1; l < real_end; ++l) {
-      RunBatchTreeLevel(levels_[l], item_at, weight_at, 0);
-    }
-    if (first_virtual_ <= max_level_) {
-      struct Resume {
-        uint32_t level;
-        size_t from;
-      };
-      std::vector<Resume> resumes;
-      for (size_t i = 0; i < n; ++i) {
-        if constexpr (kPrefetchIngest) {
-          // Every row lands in the shared tail; warm the counter cells the
-          // row kPrefetchLookahead ahead will hit.
-          if (i + kPrefetchLookahead < n) {
-            tail_.PrefetchInsert(prehash_scratch_[i + kPrefetchLookahead]);
-          }
-        }
-        const uint32_t before = first_virtual_;
-        InsertVirtualTail(item_at(i), weight_at(i));
-        for (uint32_t l = before; l < first_virtual_; ++l) {
-          resumes.push_back(Resume{l, i + 1});
-        }
-      }
-      for (const Resume& r : resumes) {
-        RunBatchTreeLevel(levels_[r.level], item_at, weight_at, r.from);
-      }
-    }
-  }
-
-  template <typename ItemAt, typename WeightAt>
-  void RunBatchLevel0(ItemAt item_at, WeightAt weight_at) {
-    const size_t n = y_scratch_.size();
-    if (n == 0) return;
-    if (level0_threshold_ != UINT64_MAX && level0_threshold_ <= y_batch_min_) {
-      return;  // no staged row is below the threshold; nothing to do
-    }
-    std::span<const uint32_t> rows;
-    if (level0_threshold_ != UINT64_MAX && level0_threshold_ <= y_batch_max_ &&
-        n <= kMaxIndexedRows && TryEligibleRows(level0_threshold_, &rows)) {
-      for (uint32_t i : rows) {
-        InsertLevel0(item_at(i), y_scratch_[i], weight_at(i));
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      // InsertLevel0 re-checks the threshold itself, so discards that
-      // happen mid-batch are honored exactly as in sequential ingest.
-      InsertLevel0(item_at(i), y_scratch_[i], weight_at(i));
-    }
-  }
-
-  /// \brief Runs the staged rows through one tree level. When the level has
-  /// a finite discard threshold Y_l, only the candidate rows with y < Y_l
-  /// (a prefix of the batch's y-sorted run, restored to stream order) are
-  /// visited — the rest can never become eligible because Y_l only decreases
-  /// — while the live threshold re-check per row still honors discards that
-  /// happen during this very level's processing. Resumed levels (fresh out
-  /// of the virtual pool, Y_l still infinite) take the plain scan.
-  template <typename ItemAt, typename WeightAt>
-  void RunBatchTreeLevel(Level& level, ItemAt item_at, WeightAt weight_at,
-                         size_t from) {
-    const size_t n = y_scratch_.size();
-    if (n == 0) return;
-    // Route by where the threshold sits relative to the batch's y range:
-    //   * at or below the batch minimum — no row can be absorbed (eligibility
-    //     is y < Y_l and Y_l only decreases), so the level is skipped in O(1);
-    //   * above the batch maximum — every row is eligible, so the sorted run
-    //     can prune nothing and the plain scan is strictly cheaper;
-    //   * inside the range — the sorted run pays exactly when the eligible
-    //     prefix is small (TryEligibleRows enforces that), which is the
-    //     late-stream regime where deep levels absorb only a sliver of each
-    //     batch.
-    if (level.y_threshold != UINT64_MAX && level.y_threshold <= y_batch_min_) {
-      return;
-    }
-    if (from == 0 && level.y_threshold != UINT64_MAX &&
-        level.y_threshold <= y_batch_max_ && n <= kMaxIndexedRows) {
-      std::span<const uint32_t> rows;
-      if (TryEligibleRows(level.y_threshold, &rows)) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          const uint32_t i = rows[k];
-          const uint64_t y = y_scratch_[i];
-          if (y >= level.y_threshold) continue;  // live re-check (see above)
-          if constexpr (kPrefetchIngest) {
-            if (k + kPrefetchLookahead < rows.size()) {
-              PrefetchTreeRow(level, rows[k + kPrefetchLookahead]);
-            }
-          }
-          InsertTreeLevel(level, item_at(i), y, weight_at(i));
-        }
-        return;
-      }
-    }
-    for (size_t i = from; i < n; ++i) {
-      const uint64_t y = y_scratch_[i];
-      if (y >= level.y_threshold) continue;
-      if constexpr (kPrefetchIngest) {
-        const size_t j = i + kPrefetchLookahead;
-        if (j < n && y_scratch_[j] < level.y_threshold) {
-          PrefetchTreeRow(level, j);
-        }
-      }
-      InsertTreeLevel(level, item_at(i), y, weight_at(i));
-    }
-  }
-
-  /// \brief Rows eligible for a level with threshold Y_l, in stream order:
-  /// binary-search the cutoff in the batch's (y, idx)-sorted order (built
-  /// lazily, once per batch), then restore the eligible prefix to ascending
-  /// stream index. Returns false — telling the caller to plain-scan — when
-  /// the eligible prefix exceeds 1/kSortedRunDivisor of the batch: copying
-  /// and re-sorting a near-whole batch costs more than the scan it replaces,
-  /// so the sorted run is reserved for levels that absorb only a sliver.
-  bool TryEligibleRows(uint64_t threshold, std::span<const uint32_t>* rows) {
-    const size_t n = y_scratch_.size();
-    if (!order_ready_) {
-      order_ready_ = true;
-      order_scratch_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        order_scratch_[i] = static_cast<uint32_t>(i);
-      }
-      std::sort(order_scratch_.begin(), order_scratch_.end(),
-                [this](uint32_t a, uint32_t b) {
-                  return y_scratch_[a] != y_scratch_[b]
-                             ? y_scratch_[a] < y_scratch_[b]
-                             : a < b;
-                });
-    }
-    auto it = std::lower_bound(
-        order_scratch_.begin(), order_scratch_.end(), threshold,
-        [this](uint32_t idx, uint64_t t) { return y_scratch_[idx] < t; });
-    const size_t k = static_cast<size_t>(it - order_scratch_.begin());
-    if (k * kSortedRunDivisor > n) return false;
-    cand_scratch_.assign(order_scratch_.begin(), it);
-    std::sort(cand_scratch_.begin(), cand_scratch_.end());
-    *rows = std::span<const uint32_t>(cand_scratch_);
-    return true;
-  }
-
-  /// \brief Warms the counter cells row i will touch at this level: resolve
-  /// its leaf (read-only; the cursor makes runs cheap) and prefetch the
-  /// pre-hashed cells of that leaf's sketch. Advisory only.
-  void PrefetchTreeRow(const Level& level, size_t i) const {
-    if constexpr (kPrefetchIngest) {
-      const int32_t idx = FindLeaf(level, y_scratch_[i]);
-      if (idx >= 0) level.nodes[idx].sketch.PrefetchInsert(prehash_scratch_[i]);
-    } else {
-      (void)level;
-      (void)i;
-    }
+    // with Y_l = infinity, so each would have absorbed this arrival. After
+    // the last level materializes nothing reads the tail, but it still
+    // absorbs every arrival, so the encoded tail stays the sketch of the
+    // whole stream, byte for byte what the v1 fixtures (tests/golden) hold.
+    InsertVirtualTail(item, weight);
   }
 
   // ---- Virtual root pool ---------------------------------------------------
@@ -1467,20 +1173,6 @@ class CorrelatedSketch {
   Sketch tail_;
   uint32_t tail_checks_ = 0;
   uint32_t first_virtual_ = 1;
-  typename internal::PrehashBuffer<Factory, Sketch>::type prehash_scratch_;
-
-  // Columnar batch staging (reused across batches; capacity sticks):
-  // x / y / w columns, the batch's (y, idx)-sorted row order (built lazily
-  // on the first level that has a finite threshold), and the per-level
-  // candidate rows restored to stream order.
-  std::vector<uint64_t> x_scratch_;
-  std::vector<uint64_t> y_scratch_;
-  std::vector<int64_t> w_scratch_;
-  std::vector<uint32_t> order_scratch_;
-  std::vector<uint32_t> cand_scratch_;
-  bool order_ready_ = false;
-  uint64_t y_batch_min_ = UINT64_MAX;  // staged batch's y range (StageColumns)
-  uint64_t y_batch_max_ = 0;
 };
 
 }  // namespace castream

@@ -14,8 +14,9 @@
 // Dataflow:
 //   writers (any number, each with its own Writer handle)
 //     -> per-shard bounded batch queues (backpressure, order-preserving)
-//       -> one ingest thread per shard, feeding Summary::InsertBatch
-//          and publishing an epoch-stamped snapshot every K batches
+//       -> one ingest thread per shard, handing each dequeued batch to
+//          Summary::InsertBatch (batches amortize the queue handoff) and
+//          publishing an epoch-stamped snapshot every K batches
 //         -> query-time merge of the published snapshots.
 //
 // One query entry point — Query(cutoff, QueryOptions) returning
@@ -129,8 +130,9 @@ struct ShardedDriverOptions {
   /// Shard (and ingest thread) count; clamped to >= 1.
   uint32_t shards = 4;
   /// Tuples buffered per shard before a batch is enqueued. Larger batches
-  /// amortize queue synchronization and keep the per-shard trees
-  /// cache-resident inside InsertBatch.
+  /// amortize the queue handoff. Summaries built on CorrelatedSketch route
+  /// a batch row by row, so for them the size leaves the per-tuple work
+  /// unchanged.
   size_t batch_size = 1024;
   /// Batches buffered per shard queue before writers block (backpressure).
   size_t queue_capacity = 8;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/common/bit_util.h"
@@ -122,41 +121,6 @@ class RowHashSet {
     PreHashed out;
     Prehash(x, out);
     return out;
-  }
-
-  /// \brief Bulk Prehash through an output accessor: `at(i)` must yield a
-  /// `PreHashed&` for row i. Row-outer on purpose: each inner loop reuses one
-  /// RowHasher's coefficients (register-resident) across a contiguous scan of
-  /// `xs` — the tight, branch-free loop the columnar ingest path wants the
-  /// compiler to vectorize — instead of re-loading all `depth` hashers per
-  /// item as the scalar Prehash does. The accessor form exists for strided
-  /// outputs (e.g. the `.f2` / `.cs` members of an array of heavy-hitter
-  /// bundle pre-hashes); plain arrays use the span overload below.
-  template <typename OutAt>
-  void PreHashBatchTo(const uint64_t* xs, size_t n, OutAt at) const {
-    const uint32_t covered = std::min(depth(), kMaxPreHashDepth);
-    for (size_t i = 0; i < n; ++i) {
-      PreHashed& out = at(i);
-      out.x = xs[i];
-      out.depth = static_cast<uint8_t>(covered);
-      out.sign_bits = 0;
-    }
-    for (uint32_t d = 0; d < covered; ++d) {
-      const RowHasher& row = rows_[d];
-      for (size_t i = 0; i < n; ++i) {
-        PreHashed& out = at(i);
-        out.bucket[d] = row.Bucket(xs[i]);
-        out.sign_bits |= static_cast<uint16_t>(
-            static_cast<uint16_t>(row.Sign(xs[i]) > 0) << d);
-      }
-    }
-  }
-
-  /// \brief Computes the (bucket, sign) rows for every x in one contiguous
-  /// pass. `out` must have at least `xs.size()` elements.
-  void PreHashBatch(std::span<const uint64_t> xs, PreHashed* out) const {
-    PreHashBatchTo(xs.data(), xs.size(),
-                   [out](size_t i) -> PreHashed& { return out[i]; });
   }
 
  private:

@@ -1,12 +1,15 @@
 // InsertBatch is documented as *exactly* equivalent to one-at-a-time
-// insertion in batch order — not "approximately as accurate": the batched
-// path pre-hashes and routes level-major, but must reproduce every split,
-// close, and discard decision bit-for-bit. These tests feed one permuted
+// insertion in batch order — not "approximately as accurate". The
+// CorrelatedSketch kinds (F2, exact, Fk, heavy hitters) run a batch through
+// the per-tuple router in order; F0 and rarity have their own
+// repetition-major batch path. Either way every split, close, and discard
+// decision must match bit-for-bit. These tests feed one permuted
 // stream to a sequential summary and to a batched twin (uneven batch sizes,
 // including empty and singleton batches) and require identical structure and
 // identical query answers across a cutoff ladder, for every summary type.
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "src/core/correlated_f0.h"
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"
+#include "src/io/encoder.h"
 #include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
@@ -45,9 +49,8 @@ std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
 // Zipf(1.1)-ordered, duplicate-heavy stream: x drawn Zipfian so a handful
 // of identifiers dominate, y quantized to `y_card` distinct values so whole
 // (x, y) pairs repeat, plus occasional bursts of back-to-back identical
-// tuples. This is the trace shape the columnar router's threshold gates and
-// sorted-run pruning see in production, and the worst case for any batching
-// bug that depends on rows being distinct.
+// tuples. This is the shape of production traces, and the worst case for any
+// batching bug that depends on rows being distinct.
 std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_max,
                                   uint64_t y_card, uint64_t seed) {
   Xoshiro256 rng = TestRng(seed);
@@ -261,9 +264,8 @@ TEST(InsertBatchEquivalenceTest, CorrelatedF2HeavyHitters) {
 
 // ---------------------------------------------------------------------------
 // Zipf(1.1)-ordered, duplicate-heavy streams. Repeated (x, y) pairs keep the
-// same rows landing in the same buckets, which is exactly where the columnar
-// router's per-level threshold gates and sorted candidate runs could diverge
-// from sequential order if the pruning were approximate.
+// same rows landing in the same buckets, which is exactly where a batch path
+// that reordered or skipped rows would diverge from sequential order.
 // ---------------------------------------------------------------------------
 
 TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2AmsSketch) {
@@ -320,7 +322,7 @@ TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2HeavyHitters) {
 
 // ---------------------------------------------------------------------------
 // Weighted batches, as emitted by the hot-key coalescing front end: the
-// weighted columnar InsertBatch must match sequential weighted Insert calls
+// weighted InsertBatch must match sequential weighted Insert calls
 // in batch order, bit-for-bit. For the sampling kinds (F0 / rarity) a
 // weight is a multiplicity — sequential baseline Insert(x, y, count) — and
 // zero-weight rows are no-ops on both paths.
@@ -402,6 +404,92 @@ TEST(InsertBatchEquivalenceTest, WeightedMultiplicityEqualsRepeatedInserts) {
     weighted.Insert(x, y, k);
   }
   ExpectIdenticalScalarQueries(repeated, weighted, y_max);
+}
+
+// ---------------------------------------------------------------------------
+// One large batch across the two mid-batch edges of the framework router: a
+// virtual level materializing out of the shared tail (later rows of the same
+// batch then reach that level's own tree) and a bucket-budget discard (later
+// rows must honor the lowered threshold). The case asserts that both happen
+// inside the batch, so it cannot silently stop covering them.
+// ---------------------------------------------------------------------------
+
+// Feeds `prefix` tuple by tuple to both twins, then `batch` as one
+// InsertBatch call to `batched` and as sequential Inserts to `sequential`.
+template <typename Factory>
+void FeedOneLargeBatch(CorrelatedSketch<Factory>& sequential,
+                       CorrelatedSketch<Factory>& batched,
+                       std::span<const Tuple> prefix,
+                       std::span<const Tuple> batch) {
+  ASSERT_GE(batch.size(), 1024u);
+  for (const Tuple& t : prefix) {
+    sequential.Insert(t.x, t.y);
+    batched.Insert(t.x, t.y);
+  }
+  const uint32_t virtual_before = batched.VirtualRootLevels();
+  std::vector<uint64_t> thresholds_before;
+  for (uint32_t l = 0; l <= batched.max_level(); ++l) {
+    thresholds_before.push_back(batched.LevelThreshold(l));
+  }
+  for (const Tuple& t : batch) sequential.Insert(t.x, t.y);
+  batched.InsertBatch(batch);
+  EXPECT_LT(batched.VirtualRootLevels(), virtual_before)
+      << "no virtual level materialized inside the batch";
+  // Every discard lowers its level's threshold: discarded buckets are the
+  // rightmost leaf, whose span starts below the current threshold.
+  bool discarded = false;
+  for (uint32_t l = 0; l <= batched.max_level(); ++l) {
+    discarded |= batched.LevelThreshold(l) < thresholds_before[l];
+  }
+  EXPECT_TRUE(discarded) << "no bucket discard fired inside the batch";
+  ExpectIdenticalStructure(sequential, batched);
+  ExpectIdenticalScalarQueries(sequential, batched, batched.y_max());
+  // Identical state, not only identical answers: the twins encode to the
+  // same bytes.
+  std::string sequential_blob;
+  std::string batched_blob;
+  io::Encoder sequential_enc(&sequential_blob);
+  io::Encoder batched_enc(&batched_blob);
+  sequential.EncodeBody(sequential_enc);
+  batched.EncodeBody(batched_enc);
+  EXPECT_TRUE(sequential_blob == batched_blob);
+}
+
+TEST(InsertBatchEquivalenceTest, OneLargeBatchF2AmsSketch) {
+  const auto opts = FrameworkOptions();
+  auto sequential = MakeCorrelatedF2(opts, 61);
+  auto batched = MakeCorrelatedF2(opts, 61);
+  const auto stream = MakeStream(6000, 600, opts.y_max, 30);
+  const std::span<const Tuple> all(stream);
+  FeedOneLargeBatch(sequential, batched, all.first(2000), all.subspan(2000));
+}
+
+TEST(InsertBatchEquivalenceTest, OneLargeBatchF2HeavyHitters) {
+  // The heavy-hitter kind's engine: the framework over an AMS + CountSketch
+  // bundle factory (CorrelatedF2HeavyHitters does not expose its own).
+  auto opts = FrameworkOptions();
+  opts.f_max_hint = 1e8;
+  const auto make = [&opts] {
+    return CorrelatedSketch<F2HeavyHitterBundleFactory>(
+        opts, F2HeavyHitterBundleFactory(
+                  AmsF2SketchFactory(AmsDimsFor(opts.eps, 0.1, 4), 62),
+                  CountSketchFactory(CountSketchDimsFor(0.1, 0.1, 4), 63),
+                  64));
+  };
+  auto sequential = make();
+  auto batched = make();
+  const auto stream = MakeStream(6000, 500, opts.y_max, 31);
+  const std::span<const Tuple> all(stream);
+  FeedOneLargeBatch(sequential, batched, all.first(2000), all.subspan(2000));
+
+  // And through the public summary, one InsertBatch of the same rows.
+  CorrelatedF2HeavyHitters hh_sequential(opts, 0.05, 64);
+  CorrelatedF2HeavyHitters hh_batched(opts, 0.05, 64);
+  for (const Tuple& t : stream) hh_sequential.Insert(t.x, t.y);
+  hh_batched.InsertBatch(all.first(2000));
+  hh_batched.InsertBatch(all.subspan(2000));
+  ExpectIdenticalHeavyHitterQueries(hh_sequential, hh_batched, opts.y_max,
+                                    81);
 }
 
 TEST(InsertBatchEquivalenceTest, EmptyAndInitializerListBatches) {
